@@ -391,15 +391,14 @@ def verify_embedding(triple, module):
                  "subalgebra"))
 
     moved = transfer(triple, lhs, module)
-    for form in (1, 2):
-        rhs = assemble_rhs(triple, module, form)
+    forms = {form: assemble_rhs(triple, module, form) for form in (1, 2)}
+    for form, rhs in forms.items():
         bad = moved.describe_difference(rhs)
         rows.append((f"form{form}", not bad,
                      "transferred element matches" if not bad else
                      "mismatch at symbols: " + ", ".join(bad)))
 
-    bad = assemble_rhs(triple, module, 1).describe_difference(
-        assemble_rhs(triple, module, 2))
+    bad = forms[1].describe_difference(forms[2])
     rows.append(("forms-agree", not bad,
                  "the two right-hand presentations expand to the same "
                  "element" if not bad else

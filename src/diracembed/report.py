@@ -352,12 +352,10 @@ def spectral_suite(triple, weight: int, truncation: int = 40):
         "spectral", "matched-blocks", ok, detail, detail,
         "matched-block-reduction"))
 
-    hw = spectral.truncated_dirac_kernel(
-        spectral.scan_module("highest", -m - 2, truncation))
+    hw = spectral.scan_lines("highest", -m - 2, truncation)
     lw_param = 0 if m == 0 else m
-    lw_module = (sl2_irrep(0) if m == 0
-                 else spectral.scan_module("lowest", m, truncation))
-    lw = spectral.truncated_dirac_kernel(lw_module)
+    lw = spectral.scan_lines("finite" if m == 0 else "lowest", lw_param,
+                             truncation)
     hw_ok = [(l.total, l.slot) for l in hw] == [(-m - 1, "e")]
     lw_ok = any(l.total == m - 1 and l.slot == "1" for l in lw)
     results.append(_check(

@@ -1,17 +1,20 @@
 """Exact arithmetic in Q(sqrt2, i) and sparse exact linear algebra.
 
 Every scalar in this package is an element a + b*sqrt2 + i*(c + d*sqrt2)
-with rational components.  The field is closed under all arithmetic used
-here, so equality and zero tests are exact; nothing in this module (or
-anything built on it) ever compares against a tolerance.  Matrices store
-only their nonzero entries, so every matrix operation costs in proportion
-to the nonzeros it touches rather than to the full shape.
+with rational components, stored as four integer numerators over one
+common denominator.  The field is closed under all arithmetic used here,
+so equality and zero tests are exact; nothing in this module (or anything
+built on it) ever compares against a tolerance.  Matrices store only their
+nonzero entries, so every matrix operation costs in proportion to the
+nonzeros it touches rather than to the full shape.
 """
 from __future__ import annotations
 
 import math
 import re
 from fractions import Fraction
+
+_gcd = math.gcd
 
 
 def _frac(x) -> Fraction:
@@ -28,35 +31,52 @@ def _render_frac(q: Fraction) -> str:
     return str(q.numerator) if q.denominator == 1 else f"{q.numerator}/{q.denominator}"
 
 
-class ExactScalar:
-    """One element of Q(sqrt2, i), stored as four rationals (a, b, c, d).
+def _component(k: int, doc: str) -> property:
+    return property(lambda self: Fraction(self._parts[k], self._parts[4]), doc=doc)
 
-    The value is a + b*sqrt2 + i*(c + d*sqrt2).  Instances are immutable;
-    arithmetic returns new objects.  Zero means all four components are
-    zero, which makes ``is_zero`` exact.
+
+class ExactScalar:
+    """One element of Q(sqrt2, i), stored as integers (a, b, c, d, den).
+
+    The value is (a + b*sqrt2 + i*(c + d*sqrt2)) / den.  The tuple is kept
+    canonical, with den > 0 and gcd(a, b, c, d, den) == 1, so zero is
+    (0, 0, 0, 0, 1) and two scalars are equal exactly when their tuples
+    are.  The components ``a``, ``b``, ``c`` and ``d`` read as Fractions.
+    Instances are immutable; arithmetic returns new objects.
     """
 
-    __slots__ = ("a", "b", "c", "d")
+    __slots__ = ("_parts",)
 
     def __init__(self, a=0, b=0, c=0, d=0):
-        object.__setattr__(self, "a", _frac(a))
-        object.__setattr__(self, "b", _frac(b))
-        object.__setattr__(self, "c", _frac(c))
-        object.__setattr__(self, "d", _frac(d))
+        fracs = [_frac(x) for x in (a, b, c, d)]
+        den = math.lcm(*(f.denominator for f in fracs))
+        # Canonical as it stands: each prime power in den is the whole
+        # power in some component's denominator, whose numerator it does
+        # not divide.
+        object.__setattr__(self, "_parts", tuple(
+            f.numerator * (den // f.denominator) for f in fracs) + (den,))
 
     def __setattr__(self, name, value):
         raise AttributeError("ExactScalar is immutable")
 
+    a = _component(0, "The rational part.")
+    b = _component(1, "The coefficient of sqrt2.")
+    c = _component(2, "The rational part of the imaginary part.")
+    d = _component(3, "The coefficient of i*sqrt2.")
+
     # -- predicates ------------------------------------------------------
 
     def is_zero(self) -> bool:
-        return not (self.a or self.b or self.c or self.d)
+        a, b, c, d, _ = self._parts
+        return not (a or b or c or d)
 
     def is_real(self) -> bool:
-        return not (self.c or self.d)
+        _, _, c, d, _ = self._parts
+        return not (c or d)
 
     def is_rational(self) -> bool:
-        return not (self.b or self.c or self.d)
+        _, b, c, d, _ = self._parts
+        return not (b or c or d)
 
     def rational_value(self) -> Fraction:
         if not self.is_rational():
@@ -66,24 +86,27 @@ class ExactScalar:
     # -- arithmetic ------------------------------------------------------
 
     def __add__(self, other):
-        if not isinstance(other, (int, Fraction, ExactScalar)):
-            return NotImplemented
-        other = coerce(other)
+        if not isinstance(other, ExactScalar):
+            if not isinstance(other, (int, Fraction)):
+                return NotImplemented
+            other = coerce(other)
+        a1, b1, c1, d1, n1 = self._parts
+        a2, b2, c2, d2, n2 = other._parts
         # adding zero returns the other operand unchanged (both immutable)
-        if not (other.a or other.b or other.c or other.d):
+        if not (a2 or b2 or c2 or d2):
             return self
-        if not (self.a or self.b or self.c or self.d):
+        if not (a1 or b1 or c1 or d1):
             return other
-        return _make(self.a + other.a, self.b + other.b,
-                     self.c + other.c, self.d + other.d)
+        if n1 == n2:
+            return _make(a1 + a2, b1 + b2, c1 + c2, d1 + d2, n1)
+        return _make(a1 * n2 + a2 * n1, b1 * n2 + b2 * n1,
+                     c1 * n2 + c2 * n1, d1 * n2 + d2 * n1, n1 * n2)
 
     __radd__ = __add__
 
     def __neg__(self):
-        a, b, c, d = self.a, self.b, self.c, self.d
-        if not (b or c or d):
-            return _make(-a, _F0, _F0, _F0)
-        return _make(-a, -b, -c, -d)
+        a, b, c, d, den = self._parts
+        return _scalar((-a, -b, -c, -d, den))
 
     def __sub__(self, other):
         if not isinstance(other, (int, Fraction, ExactScalar)):
@@ -94,50 +117,56 @@ class ExactScalar:
         return coerce(other) + (-self)
 
     def __mul__(self, other):
-        if not isinstance(other, (int, Fraction, ExactScalar)):
-            return NotImplemented
-        other = coerce(other)
+        if not isinstance(other, ExactScalar):
+            if not isinstance(other, (int, Fraction)):
+                return NotImplemented
+            other = coerce(other)
         # (u1 + i v1)(u2 + i v2) with u, v in Q(sqrt2):
         # real part u1 u2 - v1 v2, imaginary part u1 v2 + v1 u2,
         # and (p + q sqrt2)(r + s sqrt2) = pr + 2qs + (ps + qr) sqrt2.
-        a1, b1, c1, d1 = self.a, self.b, self.c, self.d
-        a2, b2, c2, d2 = other.a, other.b, other.c, other.d
+        a1, b1, c1, d1, n1 = self._parts
+        a2, b2, c2, d2, n2 = other._parts
         if not (b1 or c1 or d1):                     # left factor rational
             if not a1:
                 return ZERO
-            if not (b2 or c2 or d2):
-                return _make(a1 * a2, _F0, _F0, _F0)
-            return _make(a1 * a2, a1 * b2, a1 * c2, a1 * d2)
+            return _make(a1 * a2, a1 * b2, a1 * c2, a1 * d2, n1 * n2)
         if not (a2 or b2 or c2 or d2):               # right factor zero
             return ZERO
-        ra = a1 * a2 + 2 * b1 * b2 - c1 * c2 - 2 * d1 * d2
-        rb = a1 * b2 + b1 * a2 - c1 * d2 - d1 * c2
-        ia = a1 * c2 + 2 * b1 * d2 + c1 * a2 + 2 * d1 * b2
-        ib = a1 * d2 + b1 * c2 + c1 * b2 + d1 * a2
-        return _make(ra, rb, ia, ib)
+        return _make(a1 * a2 + 2 * b1 * b2 - c1 * c2 - 2 * d1 * d2,
+                     a1 * b2 + b1 * a2 - c1 * d2 - d1 * c2,
+                     a1 * c2 + 2 * b1 * d2 + c1 * a2 + 2 * d1 * b2,
+                     a1 * d2 + b1 * c2 + c1 * b2 + d1 * a2,
+                     n1 * n2)
 
     __rmul__ = __mul__
 
     def conjugate(self) -> "ExactScalar":
         """Complex conjugation: i -> -i."""
-        return _make(self.a, self.b, -self.c, -self.d)
+        a, b, c, d, den = self._parts
+        return _scalar((a, b, -c, -d, den))
 
     def sqrt2_conjugate(self) -> "ExactScalar":
         """Galois conjugation sqrt2 -> -sqrt2."""
-        return _make(self.a, -self.b, self.c, -self.d)
+        a, b, c, d, den = self._parts
+        return _scalar((a, -b, c, -d, den))
 
     def inverse(self) -> "ExactScalar":
-        if self.is_zero():
-            raise ZeroDivisionError("inverse of zero in Q(sqrt2, i)")
-        # 1/(u + iv) = (u - iv)/(u^2 + v^2), with the denominator a nonzero
-        # element p + q sqrt2 of Q(sqrt2), inverted by its Galois conjugate:
-        # 1/(p + q sqrt2) = (p - q sqrt2)/(p^2 - 2 q^2).
-        conj = self.conjugate()
-        n = self * conj                       # real: n = p + q sqrt2
-        p, q = n.a, n.b
-        den = p * p - 2 * q * q               # nonzero: sqrt2 is irrational
-        inv_n = _make(p / den, -q / den, _F0, _F0)
-        return conj * inv_n
+        a, b, c, d, den = self._parts
+        if not (b or c or d):
+            if not a:
+                raise ZeroDivisionError("inverse of zero in Q(sqrt2, i)")
+            return _scalar((den, 0, 0, 0, a) if a > 0 else (-den, 0, 0, 0, -a))
+        # With u = a + b sqrt2 and v = c + d sqrt2, the inverse of
+        # (u + iv)/den is den (u - iv)/(u^2 + v^2).  The denominator
+        # u^2 + v^2 = p + q sqrt2 is inverted by its Galois conjugate,
+        # 1/(p + q sqrt2) = (p - q sqrt2)/(p^2 - 2 q^2).  The Galois
+        # conjugate is itself a sum of two real squares, not both zero, so
+        # p^2 - 2 q^2 is a product of two positive reals: a valid den.
+        p = a * a + 2 * b * b + c * c + 2 * d * d
+        q = 2 * (a * b + c * d)
+        return _make(den * (a * p - 2 * b * q), den * (b * p - a * q),
+                     den * (2 * d * q - c * p), den * (c * q - d * p),
+                     p * p - 2 * q * q)
 
     def __truediv__(self, other):
         return self * coerce(other).inverse()
@@ -162,10 +191,10 @@ class ExactScalar:
     # -- order structure (real elements only) ----------------------------
 
     def real_sign(self) -> int:
-        """Sign (-1, 0, +1) of a real element a + b*sqrt2."""
+        """Sign (-1, 0, +1) of a real element (a + b*sqrt2)/den."""
         if not self.is_real():
             raise ValueError(f"{self} is not real, sign undefined")
-        p, q = self.a, self.b
+        p, q = self._parts[0], self._parts[1]     # den > 0 keeps the sign
         if not p and not q:
             return 0
         if p >= 0 and q >= 0:
@@ -191,14 +220,14 @@ class ExactScalar:
     # -- equality and rendering ------------------------------------------
 
     def __eq__(self, other):
-        if isinstance(other, (int, Fraction)):
-            other = coerce(other)
         if not isinstance(other, ExactScalar):
-            return NotImplemented
-        return (self.a, self.b, self.c, self.d) == (other.a, other.b, other.c, other.d)
+            if not isinstance(other, (int, Fraction)):
+                return NotImplemented
+            other = coerce(other)
+        return self._parts == other._parts
 
     def __hash__(self):
-        return hash((self.a, self.b, self.c, self.d))
+        return hash(self._parts)
 
     def canonical(self) -> str:
         """Full canonical rendering ``a + b*r2 + i*(c + d*r2)``."""
@@ -230,32 +259,35 @@ class ExactScalar:
         return f"ExactScalar({self.a!r}, {self.b!r}, {self.c!r}, {self.d!r})"
 
 
-_F0 = Fraction(0)
 _new_scalar = object.__new__
-_set_a, _set_b, _set_c, _set_d = (ExactScalar.a.__set__, ExactScalar.b.__set__,
-                                  ExactScalar.c.__set__, ExactScalar.d.__set__)
+_set_parts = ExactScalar._parts.__set__
 
 
-def _make(a: Fraction, b: Fraction, c: Fraction, d: Fraction) -> ExactScalar:
-    """Build a scalar from four components that are already Fractions.
-
-    The arithmetic methods produce Fraction components, so they skip the
-    argument conversion of ``ExactScalar.__init__``.
-    """
+def _scalar(parts: tuple) -> ExactScalar:
+    """Adopt a tuple (a, b, c, d, den) that is already canonical."""
     s = _new_scalar(ExactScalar)
-    _set_a(s, a)
-    _set_b(s, b)
-    _set_c(s, c)
-    _set_d(s, d)
+    _set_parts(s, parts)
     return s
+
+
+def _make(a: int, b: int, c: int, d: int, den: int) -> ExactScalar:
+    """Build a scalar from integer numerators over a denominator den > 0,
+    dividing out their common factor."""
+    if den != 1:
+        g = _gcd(a, b, c, d, den)
+        if g != 1:
+            return _scalar((a // g, b // g, c // g, d // g, den // g))
+    return _scalar((a, b, c, d, den))
 
 
 def coerce(x) -> ExactScalar:
     """Coerce an int, Fraction or ExactScalar into the field."""
     if isinstance(x, ExactScalar):
         return x
-    if isinstance(x, (int, Fraction)):
-        return _make(_frac(x), _F0, _F0, _F0)
+    if isinstance(x, int):
+        return _scalar((int(x), 0, 0, 0, 1))       # int() turns a bool into 0/1
+    if isinstance(x, Fraction):
+        return _scalar((x.numerator, 0, 0, 0, x.denominator))
     raise TypeError(f"cannot coerce {x!r} into Q(sqrt2, i)")
 
 
@@ -504,6 +536,24 @@ class ExactMatrix:
         out = [{place[j]: x for j, x in r.items() if j in place} for r in self._rows]
         return ExactMatrix._wrap(out, len(place))
 
+    def split_columns(self, widths) -> list:
+        """The consecutive blocks of columns of the given widths, left to
+        right, cut in one pass over the nonzeros."""
+        widths = list(widths)
+        if any(w < 0 for w in widths) or sum(widths) != self._ncols:
+            raise ValueError(f"widths {widths} do not split {self._ncols} columns")
+        place = [(k, offset) for k, w in enumerate(widths) for offset in range(w)]
+        empty = {}                       # rows are never mutated: share
+        blocks = [[empty] * len(self._rows) for _ in widths]
+        for i, r in enumerate(self._rows):
+            for j, x in r.items():
+                k, offset = place[j]
+                row = blocks[k][i]
+                if row is empty:
+                    row = blocks[k][i] = {}
+                row[offset] = x
+        return [ExactMatrix._wrap(rows, w) for rows, w in zip(blocks, widths)]
+
     def trace(self) -> ExactScalar:
         if self.nrows != self.ncols:
             raise ValueError("trace of a non-square matrix")
@@ -617,8 +667,3 @@ class ExactMatrix:
 
     def __repr__(self):
         return f"ExactMatrix({self.nrows}x{self.ncols})"
-
-
-def solve_scalar_action(m: ExactMatrix, lam) -> bool:
-    """Decide whether m acts as the scalar lam, i.e. m == lam * identity."""
-    return m.is_scalar(lam)

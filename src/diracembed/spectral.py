@@ -404,10 +404,14 @@ def truncated_dirac_kernel(module: WeightModule, n_certified: int = None) -> lis
         for s in range(spin.dim):
             flat = j * spin.dim + s
             by_total[module.weights[j] + slot_w[s]].append((flat, j, s))
+    # the certified columns, grouped by total, then cut into one block per
+    # group: two passes over the nonzeros however many groups there are
+    totals = sorted(by_total)
+    window = op.select_columns([c for t in totals for (c, _, _) in by_total[t]])
+    subs = window.split_columns([len(by_total[t]) for t in totals])
     lines = []
-    for total in sorted(by_total):
+    for total, sub in zip(totals, subs):
         group = by_total[total]
-        sub = op.select_columns([c for (c, _, _) in group])
         for nv in sub.nullspace():
             support = [k for k in range(nv.nrows) if not nv[k, 0].is_zero()]
             if len(support) != 1:
@@ -420,7 +424,8 @@ def truncated_dirac_kernel(module: WeightModule, n_certified: int = None) -> lis
 # -- parameter scans and the kernel table -------------------------------------
 
 
-def _scan_lines(kind: str, param: int, n_levels: int) -> list:
+def scan_lines(kind: str, param: int, n_levels: int) -> list:
+    """The cached kernel lines of the scan family member scan_module names."""
     key = (kind, param, n_levels if kind != "finite" else 0)
     if key not in _line_cache:
         _line_cache[key] = truncated_dirac_kernel(
@@ -433,7 +438,7 @@ def highest_weight_scan(target_total: int, slot: str,
     """Parameters nu in {-1..-depth} whose kernel meets the target line."""
     hits = []
     for nu in range(-1, -depth - 1, -1):
-        lines = _scan_lines("highest", nu, n_levels)
+        lines = scan_lines("highest", nu, n_levels)
         if any(l.total == target_total and l.slot == slot for l in lines):
             hits.append(nu)
     return hits
@@ -450,9 +455,9 @@ def lowest_weight_scan(target_total: int, slot: str,
     hits = []
     for mu in range(0, depth + 1):
         if mu == 0:
-            lines = _scan_lines("finite", 0, 0)
+            lines = scan_lines("finite", 0, 0)
         else:
-            lines = _scan_lines("lowest", mu, n_levels)
+            lines = scan_lines("lowest", mu, n_levels)
         if any(l.total == target_total and l.slot == slot for l in lines):
             hits.append(mu)
     return hits

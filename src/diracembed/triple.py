@@ -12,6 +12,7 @@ orthonormalized bases of the pieces of l, the reductive pairs used by the
 Dirac constructions, and the spin modules over their complements.
 """
 
+import math
 from fractions import Fraction
 
 from .scalars import (ExactMatrix, coerce, parse_scalar, real_sqrt,
@@ -404,17 +405,14 @@ def _rational_roots(char_coeffs):
     """
     fracs = []
     for c in char_coeffs:
-        if not (c.b.numerator == 0 and c.c.numerator == 0
-                and c.d.numerator == 0):
+        if not c.is_rational():
             return []
         fracs.append(c.a)
     while fracs and fracs[-1] == 0:
         fracs.pop()
     if len(fracs) < 2:
         return []
-    scale = 1
-    for f in fracs:
-        scale = scale * f.denominator // _gcd(scale, f.denominator)
+    scale = math.lcm(*(f.denominator for f in fracs))
     ints = [int(f * scale) for f in fracs]
     while ints and ints[0] == 0:
         ints.pop(0)
@@ -433,12 +431,6 @@ def _rational_roots(char_coeffs):
                     if s not in roots:
                         roots.append(s)
     return roots
-
-
-def _gcd(a, b):
-    while b:
-        a, b = b, a % b
-    return a
 
 
 def _divisors(n):

@@ -15,6 +15,8 @@ small_fractions = st.fractions(min_value=-6, max_value=6, max_denominator=4)
 small_scalars = st.builds(ExactScalar, small_fractions, small_fractions,
                           small_fractions, small_fractions)
 real_scalars = st.builds(ExactScalar, fractions, fractions)
+# general scalars and rational ones, which take the fast paths
+mixed_scalars = st.one_of(scalars, st.builds(ExactScalar, fractions))
 
 
 # -- ring structure ------------------------------------------------------------
@@ -328,25 +330,60 @@ def field_matrices(n, m):
 
 @pytest.fixture(scope="module")
 def sympy_field():
-    """sympy's Q(sqrt2, i) with its images of sqrt2 and i."""
+    """sympy's Q(sqrt2, i) and the map sending a scalar to its element,
+    built from the scalar's four rational components."""
     sympy = pytest.importorskip("sympy")
     field = sympy.QQ.algebraic_field(sympy.sqrt(2), sympy.I)
-    return field, field.from_sympy(sympy.sqrt(2)), field.from_sympy(sympy.I)
+    sqrt2, i = field.from_sympy(sympy.sqrt(2)), field.from_sympy(sympy.I)
+
+    def rational(q):
+        return field.convert_from(sympy.QQ(q.numerator, q.denominator), sympy.QQ)
+
+    def element(x):
+        return (rational(x.a) + rational(x.b) * sqrt2
+                + i * (rational(x.c) + rational(x.d) * sqrt2))
+    return field, element
+
+
+@given(x=mixed_scalars, y=mixed_scalars)
+@settings(max_examples=200, deadline=None)
+def test_scalar_arithmetic_agrees_with_sympy_field(sympy_field, x, y):
+    field, element = sympy_field
+    ex, ey = element(x), element(y)
+    assert element(x + y) == ex + ey
+    assert element(x - y) == ex - ey
+    assert element(x * y) == ex * ey
+    if not x.is_zero():
+        assert element(x.inverse()) == field.one / ex
+    if not y.is_zero():
+        assert element(x / y) == ex / ey
+
+
+@given(mixed_scalars, mixed_scalars)
+def test_equal_values_share_one_canonical_form(x, y):
+    def same(u, v):
+        assert u == v
+        assert hash(u) == hash(v)
+        assert (u.a, u.b, u.c, u.d) == (v.a, v.b, v.c, v.d)
+
+    same(ExactScalar(Fraction(2, 4)), HALF)
+    same(ExactScalar("3/6"), HALF)
+    same(ONE / 2, HALF)
+    same(coerce(-2).inverse(), -HALF)
+    same(x - x + HALF, HALF)
+    same(x - x, ZERO)
+    same(x * ExactScalar(Fraction(6, 3)), x + x)
+    if not y.is_zero():
+        same((x * y) / y, x)
+        same((y * HALF).inverse(), y.inverse() * 2)
+        same(-(y.inverse()), (-y).inverse())
 
 
 @given(a=field_matrices(3, 4), b=field_matrices(3, 4), c=field_matrices(4, 2))
 @settings(max_examples=30, deadline=None)
 def test_matrix_layer_agrees_with_sympy_domain_matrices(sympy_field, a, b, c):
-    from sympy import QQ
     from sympy.polys.matrices import DomainMatrix
-    field, sqrt2, i = sympy_field
-
-    def rational(q):
-        return field.convert_from(QQ(q.numerator, q.denominator), QQ)
-
-    def element(x):
-        return (rational(x.a) + rational(x.b) * sqrt2
-                + i * (rational(x.c) + rational(x.d) * sqrt2))
+    field, element = sympy_field
 
     def entries(m):
         return [[element(x) for x in row] for row in m.rows]
@@ -369,3 +406,15 @@ def test_matrix_layer_agrees_with_sympy_domain_matrices(sympy_field, a, b, c):
     assert tuple(pivots) == tuple(sympy_pivots)
     kernel = sympy_reduced.nullspace_from_rref(sympy_pivots)
     assert [[element(x) for x in v.col(0)] for v in a.nullspace()] == kernel.to_list()
+
+
+@given(field_matrices(3, 5), st.lists(st.integers(0, 5), max_size=4))
+@settings(max_examples=30)
+def test_split_columns_cuts_consecutive_blocks(m, cuts):
+    bounds = [0] + sorted(cuts) + [5]
+    widths = [hi - lo for lo, hi in zip(bounds, bounds[1:])]
+    blocks = m.split_columns(widths)
+    assert blocks == [m.select_columns(range(lo, hi))
+                      for lo, hi in zip(bounds, bounds[1:])]
+    with pytest.raises(ValueError):
+        m.split_columns(widths + [1])
