@@ -18,8 +18,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import combinations
 
-from .lie import LieAlgebra, Vector, unit_vector, vec, vec_is_zero, vec_sub
-from .scalars import ExactScalar, ExactMatrix, ONE, ZERO, HALF, coerce
+from .lie import LieAlgebra, Vector, vec, vec_combination, vec_is_zero, vec_sub
+from .scalars import ExactScalar, ONE, ZERO, HALF, coerce
 
 
 @dataclass(frozen=True)
@@ -169,13 +169,7 @@ class CliffordElement:
         for m1, c1 in self.terms.items():
             for m2, c2 in other.terms.items():
                 coeff, mono = _mul_monomials(self.space, m1, m2)
-                coeff = coeff * c1 * c2
-                if not coeff.is_zero():
-                    acc = out.get(mono, ZERO) + coeff
-                    if acc.is_zero():
-                        out.pop(mono, None)
-                    else:
-                        out[mono] = acc
+                out[mono] = out.get(mono, ZERO) + coeff * c1 * c2
         return CliffordElement(self.space, out)
 
     def __rmul__(self, other):
@@ -310,18 +304,20 @@ class ReductivePair:
                         f"complement vectors {labels[i]}, {labels[j]} not orthogonal")
         self.space = QuadraticSpace(labels, signs)
 
+    def _coordinates(self, x: Vector):
+        """Coordinates of x over the complement basis, or None when x lies
+        outside its span."""
+        coords = tuple(coerce(eps) * self.algebra.form_value(x, b)
+                       for eps, b in zip(self.space.signs, self.complement_basis))
+        recon = vec_combination(coords, self.complement_basis, self.algebra.dim)
+        return coords if vec_is_zero(vec_sub(recon, x)) else None
+
     def expand(self, x: Vector) -> tuple:
         """Coordinates of x over the complement basis; raises if x is outside it."""
-        coords = []
-        for eps, b in zip(self.space.signs, self.complement_basis):
-            coords.append(coerce(eps) * self.algebra.form_value(x, b))
-        recon = [ZERO] * self.algebra.dim
-        for c, b in zip(coords, self.complement_basis):
-            for k in range(self.algebra.dim):
-                recon[k] = recon[k] + c * b[k]
-        if not vec_is_zero(vec_sub(tuple(recon), vec(x))):
+        coords = self._coordinates(vec(x))
+        if coords is None:
             raise ValueError("vector is not in the span of the complement")
-        return tuple(coords)
+        return coords
 
     def vector_element(self, x: Vector) -> CliffordElement:
         """The degree-1 Clifford element representing an ambient vector."""
@@ -334,25 +330,18 @@ class ReductivePair:
         Raises if the complement fails to be stable under ad(x).
         """
         x = vec(x)
-        n = self.space.dim
-        brackets = [self.algebra.bracket(x, b) for b in self.complement_basis]
-        for lbl, br in zip(self.space.labels, brackets):
+        terms = {}
+        for i, (lbl, eps, b) in enumerate(zip(self.space.labels, self.space.signs,
+                                              self.complement_basis)):
             # ad(x)-stability: the bracket must equal its complement expansion
-            proj = [ZERO] * self.algebra.dim
-            for eps, b in zip(self.space.signs, self.complement_basis):
-                c = coerce(eps) * self.algebra.form_value(br, b)
-                for k in range(self.algebra.dim):
-                    proj[k] = proj[k] + c * b[k]
-            if not vec_is_zero(vec_sub(tuple(proj), br)):
+            coords = self._coordinates(self.algebra.bracket(x, b))
+            if coords is None:
                 raise ValueError(
                     f"complement is not ad-stable: [x, {lbl}] leaves the span")
-        terms = {}
-        for i in range(n):
-            for j in range(i + 1, n):
-                c = self.algebra.form_value(brackets[i], self.complement_basis[j])
-                if not c.is_zero():
-                    eps = coerce(self.space.signs[i] * self.space.signs[j])
-                    terms[(i, j)] = -eps * c
+            # coords[j] = eps_j <[x, b_i], b_j>
+            for j in range(i + 1, len(coords)):
+                if not coords[j].is_zero():
+                    terms[(i, j)] = -coerce(eps) * coords[j]
         return CliffordElement(self.space, terms)
 
     def cubic_element(self) -> CliffordElement:

@@ -14,8 +14,8 @@ action is gamma of the degree-two image of Y on the spinor factor plus the
 module action of Y on the twist.
 """
 
-from .scalars import ExactMatrix, coerce, ZERO, ONE, SQRT2
-from .lie import vec_add, vec_sub, vec_scale, vec_is_zero, unit_vector
+from .scalars import ExactMatrix, coerce, ONE, SQRT2
+from .lie import vec_sub, vec_scale, vec_combination, vec_is_zero, unit_vector
 from .triple import solve_in_span
 
 
@@ -50,41 +50,25 @@ class FormalDiracElement:
         if self.matrix_size != other.matrix_size:
             raise ValueError("elements act on different internal spaces")
 
-    def add_symbol(self, vector, matrix):
-        """self + (vector symbol) (x) matrix, expanding over the basis."""
+    def _plus(self, pairs):
+        """self + sum of key (x) matrix over the (key, matrix) pairs; the
+        constructor drops the terms that cancel."""
         terms = dict(self.terms)
-        for i, c in enumerate(vector):
-            if c.is_zero():
-                continue
-            acc = terms.get(i, ExactMatrix.zeros(self.matrix_size,
-                                                 self.matrix_size)) + matrix * c
-            if acc.is_zero():
-                terms.pop(i, None)
-            else:
-                terms[i] = acc
+        for key, m in pairs:
+            terms[key] = terms[key] + m if key in terms else m
         return FormalDiracElement(self.algebra, self.matrix_size, terms)
 
+    def add_symbol(self, vector, matrix):
+        """self + (vector symbol) (x) matrix, expanding over the basis."""
+        return self._plus((i, matrix * c) for i, c in enumerate(vector)
+                          if not c.is_zero())
+
     def add_unit(self, matrix):
-        terms = dict(self.terms)
-        acc = terms.get(None, ExactMatrix.zeros(self.matrix_size,
-                                                self.matrix_size)) + matrix
-        if acc.is_zero():
-            terms.pop(None, None)
-        else:
-            terms[None] = acc
-        return FormalDiracElement(self.algebra, self.matrix_size, terms)
+        return self._plus([(None, matrix)])
 
     def __add__(self, other):
         self._require_compatible(other)
-        terms = dict(self.terms)
-        for key, m in other.terms.items():
-            acc = terms.get(key, ExactMatrix.zeros(self.matrix_size,
-                                                   self.matrix_size)) + m
-            if acc.is_zero():
-                terms.pop(key, None)
-            else:
-                terms[key] = acc
-        return FormalDiracElement(self.algebra, self.matrix_size, terms)
+        return self._plus(other.terms.items())
 
     def __sub__(self, other):
         return self + other.scaled(-ONE)
@@ -137,10 +121,8 @@ def beta_action(triple, module, y):
     coords = solve_in_span(triple.h_basis, tuple(coerce(c) for c in y))
     if coords is None:
         raise ValueError("vector is not in the fixed subalgebra")
-    image = (ZERO,) * module.algebra.dim
-    for c, target in zip(coords, triple.h_module_map):
-        image = vec_add(image, vec_scale(c, target))
-    return module.action(image)
+    return module.action(vec_combination(coords, triple.h_module_map,
+                                         module.algebra.dim))
 
 
 def fiber_action(triple, module, y):
@@ -159,6 +141,19 @@ def fiber_action(triple, module, y):
 # -- the two sides of the embedding ------------------------------------------
 
 
+def _signed_sum(triple, module, pair, indices):
+    """sum over the chosen complement vectors b_j of the pair of
+    <b_j,b_j> b_j (x) gamma_j (x) 1, with gamma_j the j-th slice generator."""
+    spin = triple.spin_ql
+    out = FormalDiracElement.zero(triple.algebra, spin.dim * module.dim)
+    ident = ExactMatrix.identity(module.dim)
+    for j in indices:
+        out = out.add_symbol(
+            vec_scale(pair.space.signs[j], pair.complement_basis[j]),
+            spin.gamma_generator(j).kron(ident))
+    return out
+
+
 def geometric_dirac_element(triple, module):
     """The Dirac element of the ambient symmetric pair, twisted by a module.
 
@@ -166,47 +161,26 @@ def geometric_dirac_element(triple, module):
     (x) 1, with the complement realized as the isometric image of the
     slice complement, so the spinor factor is shared with the slice side.
     """
-    spin = triple.spin_ql
-    size = spin.dim * module.dim
-    out = FormalDiracElement.zero(triple.algebra, size)
-    ident = ExactMatrix.identity(module.dim)
-    for j, (b, sign) in enumerate(zip(triple.q_basis,
-                                      triple.pair_g_h.space.signs)):
-        matrix = spin.gamma_generator(j).kron(ident)
-        out = out.add_symbol(vec_scale(coerce(sign), b), matrix)
-    return out
-
-
-def _signed_slice_sum(triple, module, indices):
-    """sum over chosen slice complement vectors of <b,b> b (x) gamma(b) (x) 1."""
-    spin = triple.spin_ql
-    size = spin.dim * module.dim
-    out = FormalDiracElement.zero(triple.algebra, size)
-    ident = ExactMatrix.identity(module.dim)
-    basis = triple.zq_basis + triple.t_basis
-    signs = triple.space_ql.signs
-    for j in indices:
-        matrix = spin.gamma_generator(j).kron(ident)
-        out = out.add_symbol(vec_scale(coerce(signs[j]), basis[j]), matrix)
-    return out
+    return _signed_sum(triple, module, triple.pair_g_h,
+                       range(triple.pair_g_h.space.dim))
 
 
 def hat_dirac_slice(triple, module):
     """Non-cubic Dirac element of the slice pair, on the shared fiber."""
-    return _signed_slice_sum(triple, module,
-                             range(len(triple.zq_basis) + len(triple.t_basis)))
+    return _signed_sum(triple, module, triple.pair_l_lh,
+                       range(triple.space_ql.dim))
 
 
 def dirac_compact_slice(triple, module):
     """Dirac element of the compact slice sub-pair (the Z-part only)."""
-    return _signed_slice_sum(triple, module, range(len(triple.zq_basis)))
+    return _signed_sum(triple, module, triple.pair_l_lh,
+                       range(len(triple.zq_basis)))
 
 
 def dirac_noncompact_slice(triple, module):
     """Dirac element of the noncompact slice sub-pair (the T-part only)."""
-    nz = len(triple.zq_basis)
-    return _signed_slice_sum(triple, module,
-                             range(nz, nz + len(triple.t_basis)))
+    return _signed_sum(triple, module, triple.pair_l_lh,
+                       range(len(triple.zq_basis), triple.space_ql.dim))
 
 
 def cubic_term(triple, module):
@@ -285,12 +259,14 @@ def transfer(triple, element, module):
     """
     g = triple.algebra
     n = g.dim
-    hq = triple.h_basis + triple.q_basis
-    hq_matrix = ExactMatrix([[hq[j][i] for j in range(n)]
-                             for i in range(n)]).inverse()
+    hq_matrix = ExactMatrix.from_columns(triple.h_basis + triple.q_basis,
+                                         n).inverse()
     slice_basis = triple.zq_basis + triple.t_basis
-    nus = [triple.nu_of(b) for b in slice_basis]
-    rho_plus = [triple.rho(1, b) for b in slice_basis]
+    weights = [triple.d[triple.nu_of(b)] for b in slice_basis]
+    # h-part of a vector: its h-coordinates over h_basis, less its slice
+    # coordinates over rho_plus of the slice basis
+    h_span = triple.h_basis + [vec_scale(-ONE, triple.rho(1, b))
+                               for b in slice_basis]
     nh = len(triple.h_basis)
 
     out = FormalDiracElement.zero(g, element.matrix_size)
@@ -298,18 +274,11 @@ def transfer(triple, element, module):
         if key is None:
             out = out.add_unit(matrix)
             continue
-        coords = tuple(hq_matrix[r, key] for r in range(n))
-        h_part = (ZERO,) * n
-        for a in range(nh):
-            h_part = vec_add(h_part, vec_scale(coords[a],
-                                               triple.h_basis[a]))
-        for b in range(n - nh):
-            c = coords[nh + b]
-            if c.is_zero():
-                continue
-            stay = vec_scale(c * triple.d[nus[b]], slice_basis[b])
-            out = out.add_symbol(stay, matrix)
-            h_part = vec_sub(h_part, vec_scale(c, rho_plus[b]))
+        coords = hq_matrix.col(key)
+        for c, d, b in zip(coords[nh:], weights, slice_basis):
+            if not c.is_zero():
+                out = out.add_symbol(vec_scale(c * d, b), matrix)
+        h_part = vec_combination(coords, h_span, n)
         if not vec_is_zero(h_part):
             out = out.add_unit(
                 (matrix @ fiber_action(triple, module, h_part)) * (-ONE))
@@ -330,15 +299,12 @@ def is_invariant_element(triple, element, module):
         fib = fiber_action(triple, module, y)
         acc = FormalDiracElement.zero(g, size)
         for key, m in element.terms.items():
-            if key is None:
-                comm = fib @ m - m @ fib
-                if not comm.is_zero():
-                    acc = acc.add_unit(comm)
-                continue
-            acc = acc.add_symbol(g.bracket(y, unit_vector(g.dim, key)), m)
             comm = fib @ m - m @ fib
-            if not comm.is_zero():
-                acc = acc.add_symbol(unit_vector(g.dim, key), comm)
+            if key is None:
+                acc = acc.add_unit(comm)
+            else:
+                e = unit_vector(g.dim, key)
+                acc = acc.add_symbol(g.bracket(y, e), m).add_symbol(e, comm)
         if acc.terms:
             return False
     return True
@@ -355,8 +321,6 @@ def verify_embedding(triple, module):
     the right side, reporting any symbol where they disagree.
     """
     rows = []
-    slice_basis = triple.zq_basis + triple.t_basis
-
     ok = all(vec_is_zero(vec_sub(triple.rho(-1, z), z))
              for z in triple.zq_basis)
     rows.append(("compact-part-fixed", ok,
@@ -366,22 +330,12 @@ def verify_embedding(triple, module):
     rows.append(("compact-part-killed", ok,
                  "rho_plus vanishes on the Z-part"))
 
-    ok = True
-    for b in triple.t_basis:
-        want = vec_sub(vec_scale(SQRT2, b), triple.rho(1, b))
-        if not vec_is_zero(vec_sub(triple.rho(-1, b), want)):
-            ok = False
+    ok = all(vec_is_zero(vec_sub(triple.rho(-1, b), vec_sub(
+        vec_scale(SQRT2, b), triple.rho(1, b)))) for b in triple.t_basis)
     rows.append(("noncompact-part-split", ok,
                  "rho_minus T = sqrt2 T - rho_plus T on the T-part"))
 
-    g = triple.algebra
-    ok = True
-    for i, x in enumerate(slice_basis):
-        for j, y in enumerate(slice_basis):
-            if g.form_value(triple.rho(-1, x), triple.rho(-1, y)) != \
-                    g.form_value(x, y):
-                ok = False
-    rows.append(("isometric-complement", ok,
+    rows.append(("isometric-complement", triple.rho_is_isometry(),
                  "rho_minus preserves all complement pairings"))
 
     lhs = geometric_dirac_element(triple, module)

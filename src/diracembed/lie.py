@@ -8,9 +8,7 @@ module object is itself a certificate that its action is consistent.
 """
 from __future__ import annotations
 
-from fractions import Fraction
-
-from .scalars import (ExactMatrix, ExactScalar, ONE, ZERO, I, coerce)
+from .scalars import ExactMatrix, ExactScalar, ONE, ZERO, coerce
 
 Vector = tuple  # coordinate vector over an algebra's basis
 
@@ -32,6 +30,17 @@ def vec_scale(s, u: Vector) -> Vector:
     return tuple(s * x for x in u)
 
 
+def vec_combination(coeffs, vectors, dim: int) -> Vector:
+    """The length-dim vector sum_k coeffs[k] * vectors[k]."""
+    out = [ZERO] * dim
+    for c, v in zip(coeffs, vectors):
+        if not c.is_zero():
+            for k, x in enumerate(v):
+                if not x.is_zero():
+                    out[k] = out[k] + c * x
+    return tuple(out)
+
+
 def vec_is_zero(u: Vector) -> bool:
     return all(x.is_zero() for x in u)
 
@@ -47,13 +56,12 @@ class LieAlgebra:
     matrix of the invariant form on the basis.
     """
 
-    def __init__(self, labels, brackets, form: ExactMatrix, check: bool = True):
+    def __init__(self, labels, brackets, form: ExactMatrix):
         self.labels = tuple(labels)
         self.dim = len(self.labels)
         self.brackets = tuple(tuple(vec(v) for v in row) for row in brackets)
         self.form = form
-        if check:
-            self._verify()
+        self._verify()
 
     def _verify(self):
         n = self.dim
@@ -174,15 +182,14 @@ class WeightModule:
     """
 
     def __init__(self, algebra: LieAlgebra, weights, actions, kind: str = "finite",
-                 cartan_index=0, check: bool = True):
+                 cartan_index=0):
         self.algebra = algebra
         self.weights = tuple(int(w) for w in weights)
         self.dim = len(self.weights)
         self.actions = tuple(actions)
         self.kind = kind
         self.cartan_index = cartan_index
-        if check:
-            self._verify()
+        self._verify()
 
     def _verify(self):
         if len(self.actions) != self.algebra.dim:

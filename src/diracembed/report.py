@@ -355,7 +355,7 @@ def spectral_suite(triple, weight: int, truncation: int = 40):
     hw = spectral.scan_lines("highest", -m - 2, truncation)
     lw_param = 0 if m == 0 else m
     lw = spectral.scan_lines("finite" if m == 0 else "lowest", lw_param,
-                             truncation)
+                             0 if m == 0 else truncation)
     hw_ok = [(l.total, l.slot) for l in hw] == [(-m - 1, "e")]
     lw_ok = any(l.total == m - 1 and l.slot == "1" for l in lw)
     results.append(_check(
@@ -364,8 +364,9 @@ def spectral_suite(triple, weight: int, truncation: int = 40):
         f"lowest weight {lw_param} kernel meets total {m - 1} (minus line)",
         f"kernel lines hw={hw} lw={lw}", "weight-module-kernels"))
 
-    hw_hits = spectral.highest_weight_scan(-m - 1, "e", n_levels=truncation)
-    lw_hits = spectral.lowest_weight_scan(m - 1, "1", n_levels=truncation)
+    depth = spectral.scan_depth(m)
+    hw_hits = spectral.highest_weight_scan(-m - 1, "e", depth, truncation)
+    lw_hits = spectral.lowest_weight_scan(m - 1, "1", depth, truncation)
     ok = hw_hits == [-m - 2] and lw_hits == [lw_param]
     results.append(_check(
         "spectral", "scan-uniqueness", ok,

@@ -300,12 +300,15 @@ _RATIONAL_RE = re.compile(r"^[+-]?\d+(?:/\d+)?$")
 def parse_scalar(text: str) -> ExactScalar:
     """Parse the canonical rendering (or a bare rational) back into the field."""
     flat = text.replace(" ", "")
-    if _RATIONAL_RE.match(flat):
-        return ExactScalar(Fraction(flat))
     m = _CANONICAL_RE.match(flat)
-    if not m:
-        raise ValueError(f"not a canonical scalar literal: {text!r}")
-    return ExactScalar(*(Fraction(m.group(k)) for k in "abcd"))
+    try:
+        if _RATIONAL_RE.match(flat):
+            return ExactScalar(Fraction(flat))
+        if m:
+            return ExactScalar(*(Fraction(m.group(k)) for k in "abcd"))
+    except ZeroDivisionError:
+        raise ValueError(f"zero denominator in scalar literal: {text!r}") from None
+    raise ValueError(f"not a canonical scalar literal: {text!r}")
 
 
 def _rational_sqrt(q: Fraction):
@@ -423,6 +426,19 @@ class ExactMatrix:
     @classmethod
     def column(cls, entries) -> "ExactMatrix":
         return cls([[x] for x in entries])
+
+    @classmethod
+    def from_columns(cls, columns, nrows: int) -> "ExactMatrix":
+        """The nrows x len(columns) matrix whose j-th column is columns[j]."""
+        rows = [{} for _ in range(nrows)]
+        for j, column in enumerate(columns):
+            if len(column) != nrows:
+                raise ValueError(f"column {j} has {len(column)} entries, not {nrows}")
+            for i, x in enumerate(column):
+                x = coerce(x)
+                if not x.is_zero():
+                    rows[i][j] = x
+        return cls._wrap(rows, len(columns))
 
     @property
     def rows(self):
@@ -576,8 +592,13 @@ class ExactMatrix:
         return tuple(r.get(j, ZERO) for r in self._rows)
 
     def rref(self):
-        """Reduced row echelon form and its pivot columns, as (matrix, list)."""
-        rows = [dict(r) for r in self._rows]
+        """Reduced row echelon form and its pivot columns, as (matrix, list).
+
+        Only the nonzero rows are eliminated; the zero rows are appended
+        after them, where the (unique) reduced form puts them anyway.
+        """
+        rows = [dict(r) for r in self._rows if r]
+        zero_rows = len(self._rows) - len(rows)
         pivots = []
         lead = 0
         for j in range(self._ncols):
@@ -606,6 +627,7 @@ class ExactMatrix:
                             r[c] = x
             pivots.append(j)
             lead += 1
+        rows += [{} for _ in range(zero_rows)]
         return ExactMatrix._wrap(rows, self._ncols), pivots
 
     def rank(self) -> int:

@@ -18,12 +18,13 @@ attached by position in a chosen polarization basis.
 from collections import defaultdict
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cache
 from typing import NamedTuple
 
 from .scalars import ExactMatrix, ExactScalar, coerce, ZERO, ONE, I, INV_SQRT2
 from .lie import (WeightModule, sl2, sl2_irrep,
                   lowest_weight_module, highest_weight_module,
-                  vec, vec_add, vec_scale, unit_vector)
+                  vec, vec_add, vec_scale, vec_combination, unit_vector)
 from .clifford import CliffordElement, ReductivePair, inject_element
 from .spin import SpinModule
 from .triple import solve_in_span
@@ -166,9 +167,7 @@ def grading_element(triple):
     coords = solve_in_span([vec(img) for img in triple.h_module_map], target)
     if coords is None:
         raise SpectralError("the twist map does not reach the Cartan line")
-    x = (ZERO,) * triple.algebra.dim
-    for c, basis_vec in zip(coords, triple.h_basis):
-        x = vec_add(x, vec_scale(c, basis_vec))
+    x = vec_combination(coords, triple.h_basis, triple.algebra.dim)
     if solve_in_span(triple.h_k_basis, x) is None:
         raise SpectralError("the grading element is not in h cap k")
     return x
@@ -196,10 +195,6 @@ def _slot_names(spin: SpinModule, alpha_elt: CliffordElement,
     if sorted(names.values()) != sorted(["1", plus_name]):
         raise SpectralError("spin lines do not split into weights +1 and -1")
     return names
-
-
-def _slot_weights_from_names(names: dict, plus_name: str) -> dict:
-    return {i: (1 if n == plus_name else -1) for i, n in names.items()}
 
 
 def hs_slot_names(triple) -> dict:
@@ -250,14 +245,13 @@ def hs_dirac_operator(triple, module: WeightModule,
     return out
 
 
-def finite_dirac_kernel(triple, module: WeightModule,
-                        vectors=None, duals=None) -> list:
+def finite_dirac_kernel(triple, module: WeightModule) -> list:
     """Weight/line classification of the exact kernel on E (x) S.
 
     Returns sorted pairs (twist weight, spin line name); every kernel
     line must be pure in both factors.
     """
-    op = hs_dirac_operator(triple, module, vectors, duals)
+    op = hs_dirac_operator(triple, module)
     spin_dim = SpinModule(triple.pair_h_hk.space).dim
     names = hs_slot_names(triple)
     lines = []
@@ -332,51 +326,41 @@ class KernelLine(NamedTuple):
     level: int
 
 
-_single_side_cache = None
-_module_cache = {}
-_line_cache = {}
-
-
+@cache
 def single_side():
     """The rank-one pair: sl2 against its Cartan line, with spin data.
 
     Returns (algebra, pair, spin, names, weights) where names/weights
     label the two spin lines by their computed grading weight.
     """
-    global _single_side_cache
-    if _single_side_cache is None:
-        g = sl2()
-        h_v = g.basis_vector("h")
-        e_v = g.basis_vector("e")
-        f_v = g.basis_vector("f")
-        # orthonormal complement: (e+f)/sqrt2 and i(e-f)/sqrt2
-        x1 = vec_scale(INV_SQRT2, vec_add(e_v, f_v))
-        x2 = vec_scale(I * INV_SQRT2, vec_add(e_v, vec_scale(-ONE, f_v)))
-        pair = ReductivePair(g, [h_v], [x1, x2], ("P1", "P2"))
-        spin = SpinModule(pair.space)
-        names = _slot_names(spin, pair.alpha(h_v), "e")
-        weights = _slot_weights_from_names(names, "e")
-        _single_side_cache = (g, pair, spin, names, weights)
-    return _single_side_cache
+    g = sl2()
+    h_v = g.basis_vector("h")
+    e_v = g.basis_vector("e")
+    f_v = g.basis_vector("f")
+    # orthonormal complement: (e+f)/sqrt2 and i(e-f)/sqrt2
+    x1 = vec_scale(INV_SQRT2, vec_add(e_v, f_v))
+    x2 = vec_scale(I * INV_SQRT2, vec_add(e_v, vec_scale(-ONE, f_v)))
+    pair = ReductivePair(g, [h_v], [x1, x2], ("P1", "P2"))
+    spin = SpinModule(pair.space)
+    names = _slot_names(spin, pair.alpha(h_v), "e")
+    weights = {i: (1 if n == "e" else -1) for i, n in names.items()}
+    return g, pair, spin, names, weights
 
 
+@cache
 def scan_module(kind: str, param: int, n_levels: int) -> WeightModule:
     """A cached member of the scan family over the rank-one algebra.
 
-    kind "finite" ignores n_levels; "lowest"/"highest" build truncated
-    modules with the given parameter.
+    kind "finite" ignores n_levels, which its callers pass as 0;
+    "lowest"/"highest" build truncated modules with the given parameter.
     """
-    key = (kind, param, n_levels if kind != "finite" else 0)
-    if key not in _module_cache:
-        if kind == "finite":
-            _module_cache[key] = sl2_irrep(param)
-        elif kind == "lowest":
-            _module_cache[key] = lowest_weight_module(param, n_levels)
-        elif kind == "highest":
-            _module_cache[key] = highest_weight_module(param, n_levels)
-        else:
-            raise SpectralError(f"unknown module kind {kind!r}")
-    return _module_cache[key]
+    if kind == "finite":
+        return sl2_irrep(param)
+    if kind == "lowest":
+        return lowest_weight_module(param, n_levels)
+    if kind == "highest":
+        return highest_weight_module(param, n_levels)
+    raise SpectralError(f"unknown module kind {kind!r}")
 
 
 def truncated_dirac_kernel(module: WeightModule, n_certified: int = None) -> list:
@@ -424,13 +408,16 @@ def truncated_dirac_kernel(module: WeightModule, n_certified: int = None) -> lis
 # -- parameter scans and the kernel table -------------------------------------
 
 
+@cache
 def scan_lines(kind: str, param: int, n_levels: int) -> list:
     """The cached kernel lines of the scan family member scan_module names."""
-    key = (kind, param, n_levels if kind != "finite" else 0)
-    if key not in _line_cache:
-        _line_cache[key] = truncated_dirac_kernel(
-            scan_module(kind, param, n_levels))
-    return _line_cache[key]
+    return truncated_dirac_kernel(scan_module(kind, param, n_levels))
+
+
+def scan_depth(m: int) -> int:
+    """How far the scans for twist parameter m reach: the table's hits sit
+    at nu = -m-2 and mu = m."""
+    return max(12, m + 2)
 
 
 def highest_weight_scan(target_total: int, slot: str,
@@ -483,7 +470,7 @@ def _dual_row(kind: str, param: int) -> list:
     return ["DS-", -param]
 
 
-def kernel_table(triple, m: int, n_levels: int = 40, depth: int = 12) -> list:
+def kernel_table(triple, m: int, n_levels: int = 40) -> list:
     """Rows [kind, parameter, "C", character] of the kernel identification.
 
     Each matched block prescribes a torus weight (the first right-label
@@ -491,6 +478,7 @@ def kernel_table(triple, m: int, n_levels: int = 40, depth: int = 12) -> list:
     truncated family whose Dirac kernel meets that line names the first
     factor, and the second right-label coordinate names the character.
     """
+    depth = scan_depth(m)
     rows = []
     for blk in matched_kernel_blocks(triple, m):
         target = blk.right.a

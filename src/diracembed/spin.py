@@ -13,7 +13,7 @@ from __future__ import annotations
 from itertools import combinations
 
 from .clifford import CliffordElement, QuadraticSpace
-from .scalars import (ExactMatrix, ExactScalar, INV_SQRT2, I, ONE, ZERO, coerce)
+from .scalars import ExactMatrix, INV_SQRT2, I, ONE, ZERO, coerce
 
 
 class Polarization:
@@ -134,11 +134,8 @@ class SpinModule:
         contract = [self._contract_matrix(j) for j in range(n_iso)]
         odd_mat = self._odd_matrix() if pol.odd is not None else None
         # expansion of each space generator in the polarization basis
-        cols = [list(v) for v in pol.plus] + [list(v) for v in pol.minus]
-        if pol.odd is not None:
-            cols.append(list(pol.odd))
-        basis_change = ExactMatrix(list(zip(*cols)))        # columns are pol vectors
-        inv = basis_change.inverse()
+        cols = list(pol.plus + pol.minus) + ([pol.odd] if pol.odd is not None else [])
+        inv = ExactMatrix.from_columns(cols, self.space.dim).inverse()
         gens = []
         for i in range(self.space.dim):
             coeffs = inv.col(i)

@@ -17,16 +17,10 @@ from fractions import Fraction
 
 from .scalars import (ExactMatrix, coerce, parse_scalar, real_sqrt,
                       ZERO, ONE, I, HALF, INV_SQRT2)
-from .lie import (LieAlgebra, vec_add, vec_sub, vec_scale, vec_is_zero,
-                  unit_vector, sl2, direct_sum)
+from .lie import (LieAlgebra, vec_add, vec_sub, vec_scale, vec_combination,
+                  vec_is_zero, unit_vector, sl2, direct_sum)
 from .clifford import ReductivePair
 from .spin import SpinModule
-
-
-def _column_matrix(vectors, dim):
-    """Matrix whose columns are the given coordinate vectors."""
-    return ExactMatrix([[vectors[j][i] for j in range(len(vectors))]
-                        for i in range(dim)])
 
 
 def solve_in_span(vectors, x):
@@ -38,19 +32,14 @@ def solve_in_span(vectors, x):
     dim = len(x)
     if not vectors:
         return () if vec_is_zero(x) else None
-    aug = ExactMatrix([[vectors[j][i] for j in range(len(vectors))] + [x[i]]
-                       for i in range(dim)])
-    reduced, pivots = aug.rref()
+    reduced, pivots = ExactMatrix.from_columns(list(vectors) + [x], dim).rref()
     n = len(vectors)
     if n in pivots:
         return None
     coeffs = [ZERO] * n
     for r, p in enumerate(pivots):
         coeffs[p] = reduced[r, n]
-    recon = (ZERO,) * dim
-    for c, v in zip(coeffs, vectors):
-        recon = vec_add(recon, vec_scale(c, v))
-    if not vec_is_zero(vec_sub(recon, x)):
+    if not vec_is_zero(vec_sub(vec_combination(coeffs, vectors, dim), x)):
         return None
     return tuple(coeffs)
 
@@ -59,8 +48,7 @@ def span_basis(vectors, dim):
     """Subset of the given vectors forming a basis of their span."""
     if not vectors:
         return []
-    m = _column_matrix(vectors, dim)
-    _, pivots = m.rref()
+    _, pivots = ExactMatrix.from_columns(vectors, dim).rref()
     return [vectors[p] for p in pivots]
 
 
@@ -68,15 +56,11 @@ def span_intersection(first, second, dim):
     """Basis of the intersection of two spans of coordinate vectors."""
     if not first or not second:
         return []
-    combined = ExactMatrix([
-        [first[j][i] for j in range(len(first))] +
-        [-second[j][i] for j in range(len(second))]
-        for i in range(dim)])
+    combined = ExactMatrix.from_columns(
+        list(first) + [vec_scale(-ONE, u) for u in second], dim)
     out = []
     for null_col in combined.nullspace():
-        v = (ZERO,) * dim
-        for j, u in enumerate(first):
-            v = vec_add(v, vec_scale(null_col.rows[j][0], u))
+        v = vec_combination(null_col.col(0)[:len(first)], first, dim)
         if not vec_is_zero(v):
             out.append(v)
     return span_basis(out, dim)
@@ -159,12 +143,8 @@ class TransitiveTriple:
         self._eigenbasis = [v for _, basis in self.nu_spaces for v in basis]
         self._eigen_nus = [nu for nu, basis in self.nu_spaces for _ in basis]
 
-        self.l_h_basis = None
-        for nu, basis in self.nu_spaces:
-            if nu == ONE:
-                self.l_h_basis = list(basis)
-        if self.l_h_basis is None:
-            self.l_h_basis = []
+        self.l_h_basis = next((list(basis) for nu, basis in self.nu_spaces
+                               if nu == ONE), [])
         for v in self.l_h_basis:
             if solve_in_span(self.k_basis, v) is None:
                 raise TripleStructureError(
@@ -176,7 +156,7 @@ class TransitiveTriple:
             raise TripleStructureError(
                 "l cap s must be even dimensional for a spin module")
         for v in self.zq_basis + self.t_basis:
-            bracket = self._bracket_vectors(v, self._apply(sigma, v))
+            bracket = algebra.bracket(v, self._apply(sigma, v))
             if not vec_is_zero(bracket):
                 raise TripleStructureError(
                     "basis vector does not commute with its sigma image")
@@ -194,7 +174,8 @@ class TransitiveTriple:
                 len(self.q_basis) != n - len(self.h_basis):
             raise TripleStructureError(
                 "rho_minus images do not give a complement of h")
-        self._check_rho_isometry()
+        if not self.rho_is_isometry():
+            raise TripleStructureError("rho_minus is not an isometry")
 
         self.pair_g_h = ReductivePair(algebra, self.h_basis, self.q_basis,
                                       self.ql_labels)
@@ -225,16 +206,11 @@ class TransitiveTriple:
     def _apply(self, matrix, v):
         return (matrix @ ExactMatrix.column(v)).col(0)
 
-    def _bracket_vectors(self, x, y):
-        return self.algebra.bracket(x, y)
-
     def _check_isometry(self, matrix, name):
         g = self.algebra
         for i in range(g.dim):
             for j in range(i, g.dim):
-                u = self._apply(matrix, unit_vector(g.dim, i))
-                w = self._apply(matrix, unit_vector(g.dim, j))
-                if g.form_value(u, w) != g.form[i, j]:
+                if g.form_value(matrix.col(i), matrix.col(j)) != g.form[i, j]:
                     raise TripleStructureError(
                         f"{name} does not preserve the form")
 
@@ -242,10 +218,8 @@ class TransitiveTriple:
         g = self.algebra
         for i in range(g.dim):
             for j in range(i + 1, g.dim):
-                lhs = self._apply(matrix, g.bracket(unit_vector(g.dim, i),
-                                                    unit_vector(g.dim, j)))
-                rhs = g.bracket(self._apply(matrix, unit_vector(g.dim, i)),
-                                self._apply(matrix, unit_vector(g.dim, j)))
+                lhs = self._apply(matrix, g.brackets[i][j])
+                rhs = g.bracket(matrix.col(i), matrix.col(j))
                 if not vec_is_zero(vec_sub(lhs, rhs)):
                     raise TripleStructureError(
                         f"{name} is not a Lie algebra automorphism")
@@ -253,7 +227,7 @@ class TransitiveTriple:
     def _check_subalgebra(self, basis, name):
         for i, x in enumerate(basis):
             for y in basis[i + 1:]:
-                if solve_in_span(basis, self._bracket_vectors(x, y)) is None:
+                if solve_in_span(basis, self.algebra.bracket(x, y)) is None:
                     raise TripleStructureError(f"{name} is not a subalgebra")
 
     def _nu_decompose(self):
@@ -285,13 +259,9 @@ class TransitiveTriple:
             null_cols = (operator - nu * ExactMatrix.identity(m)).nullspace()
             if not null_cols:
                 continue
-            basis = []
-            for col in null_cols:
-                v = (ZERO,) * g.dim
-                for j in range(m):
-                    v = vec_add(v, vec_scale(col.rows[j][0], self.l_basis[j]))
-                basis.append(v)
-            spaces.append((nu, tuple(basis)))
+            basis = tuple(vec_combination(col.col(0), self.l_basis, g.dim)
+                          for col in null_cols)
+            spaces.append((nu, basis))
             total += len(basis)
         if total != m:
             raise TripleStructureError(
@@ -323,7 +293,7 @@ class TransitiveTriple:
                 len(span_basis(preferred + pieces, n)) != len(pieces):
             raise TripleStructureError("preferred basis spans the wrong space")
         for i, u in enumerate(preferred):
-            if self._nu_component_count(u) != 1:
+            if len({nu for _, nu, _ in self._eigen_parts(u)}) != 1:
                 raise TripleStructureError(
                     "preferred basis vector mixes sigma-eigenspaces")
             for j, w in enumerate(preferred):
@@ -336,26 +306,24 @@ class TransitiveTriple:
                         "preferred basis is not orthonormal up to sign")
         return preferred
 
-    def _nu_component_count(self, x):
-        coords = solve_in_span(self._eigenbasis, x)
+    def _eigen_parts(self, x):
+        """The nonzero terms c * v of x over the sigma-eigenbasis of l, as
+        (c, nu, v) with v in l(nu); raises if x lies outside l."""
+        coords = solve_in_span(self._eigenbasis, tuple(coerce(c) for c in x))
         if coords is None:
             raise TripleStructureError("vector lies outside l")
-        seen = set()
-        for c, nu in zip(coords, self._eigen_nus):
-            if not c.is_zero():
-                seen.add(nu)
-        return len(seen)
-
-    def _check_rho_isometry(self):
-        basis = self.zq_basis + self.t_basis
-        g = self.algebra
-        for i, x in enumerate(basis):
-            for j, y in enumerate(basis):
-                if g.form_value(self.rho(-1, x), self.rho(-1, y)) != \
-                        g.form_value(x, y):
-                    raise TripleStructureError("rho_minus is not an isometry")
+        return [(c, nu, v) for c, nu, v in
+                zip(coords, self._eigen_nus, self._eigenbasis) if not c.is_zero()]
 
     # -- public operations ----------------------------------------------
+
+    def rho_is_isometry(self):
+        """True when rho_minus preserves all pairings of the slice
+        complement basis, whose images are the q-basis."""
+        g = self.algebra
+        pairs = list(zip(self.zq_basis + self.t_basis, self.q_basis))
+        return all(g.form_value(qx, qy) == g.form_value(x, y)
+                   for x, qx in pairs for y, qy in pairs)
 
     def rho(self, sign, x):
         """rho_plus (sign=+1) or rho_minus (sign=-1) applied to x in l.
@@ -364,15 +332,8 @@ class TransitiveTriple:
         component X in l(nu) with nu != 1 contributes
         d_nu (X + sign * sigma X) / 2.  A component in l(1) is rejected.
         """
-        x = tuple(coerce(c) for c in x)
-        coords = solve_in_span(self._eigenbasis, x)
-        if coords is None:
-            raise TripleStructureError("vector lies outside l")
         out = (ZERO,) * self.algebra.dim
-        for c, nu, base_vec in zip(coords, self._eigen_nus,
-                                   self._eigenbasis):
-            if c.is_zero():
-                continue
+        for c, nu, base_vec in self._eigen_parts(x):
             if nu == ONE:
                 raise TripleStructureError(
                     "rho is undefined on the fixed part of l")
@@ -386,12 +347,7 @@ class TransitiveTriple:
 
     def nu_of(self, x):
         """The sigma-weight of a vector lying in a single l(nu)."""
-        x = tuple(coerce(c) for c in x)
-        coords = solve_in_span(self._eigenbasis, x)
-        if coords is None:
-            raise TripleStructureError("vector lies outside l")
-        seen = {nu for c, nu in zip(coords, self._eigen_nus)
-                if not c.is_zero()}
+        seen = {nu for _, nu, _ in self._eigen_parts(x)}
         if len(seen) != 1:
             raise TripleStructureError("vector mixes sigma-eigenspaces")
         return seen.pop()
@@ -434,8 +390,10 @@ def _rational_roots(char_coeffs):
 
 
 def _divisors(n):
-    out = [d for d in range(1, n + 1) if n % d == 0]
-    return out or [1]
+    """The positive divisors of n in increasing order ([1] for n = 0)."""
+    small = [d for d in range(1, math.isqrt(n) + 1) if n % d == 0]
+    large = [n // d for d in reversed(small) if d * d != n]
+    return small + large or [1]
 
 
 def _orthonormalize(algebra, vectors):
@@ -588,20 +546,28 @@ def dump_triple_description(triple):
     return "\n".join(lines) + "\n"
 
 
+def _line_error(line, problem):
+    return ValueError(f"{problem} in line {line!r}")
+
+
+def _line_values(line, tail):
+    """The comma-separated scalars after a line's ':'."""
+    try:
+        return tuple(parse_scalar(tok.strip())
+                     for tok in tail.split(",")) if tail.strip() else ()
+    except ValueError as exc:
+        raise _line_error(line, exc) from None
+
+
 def parse_triple_description(text):
     """Build a TransitiveTriple from its key-value text form.
 
     Lines look like ``bracket h1 e1: 0, 2, 0, 0, 0, 0``; blank lines and
     lines starting with ``#`` are skipped.  Coordinates use the canonical
-    scalar grammar.
+    scalar grammar.  A malformed line raises a ValueError that quotes it.
     """
-    dim = None
-    labels = None
-    brackets = {}
-    form_entries = {}
-    sigma_cols = {}
-    theta_cols = {}
-    listed = {"h": {}, "l": {}, "zbasis": {}, "tbasis": {}, "hmodule": {}}
+    header = {}
+    entries = []
     for raw in text.splitlines():
         line = raw.strip()
         if not line or line.startswith("#"):
@@ -609,67 +575,84 @@ def parse_triple_description(text):
         head, sep, tail = line.partition(":")
         if not sep:
             raise ValueError(f"missing ':' in line {line!r}")
-        parts = head.split()
-        key = parts[0]
-        if key == "dim":
-            dim = int(tail.strip())
-            continue
-        if key == "labels":
-            labels = tuple(tok.strip() for tok in tail.split(","))
-            continue
-        values = [parse_scalar(tok.strip())
-                  for tok in tail.split(",")] if tail.strip() else []
-        if key == "bracket":
-            brackets[(parts[1], parts[2])] = tuple(values)
-        elif key == "form":
-            form_entries[(parts[1], parts[2])] = values[0]
-        elif key == "sigma":
-            sigma_cols[parts[1]] = tuple(values)
-        elif key == "theta":
-            theta_cols[parts[1]] = tuple(values)
-        elif key in listed:
-            listed[key][int(parts[1])] = tuple(values)
+        words = head.split()
+        if not words:
+            raise _line_error(line, "missing key")
+        if words[0] in ("dim", "labels"):
+            if len(words) > 1 or words[0] in header:
+                raise _line_error(line, f"repeated or qualified {words[0]!r}")
+            header[words[0]] = (line, tail)
         else:
-            raise ValueError(f"unknown key {key!r}")
-    if dim is None or labels is None or len(labels) != dim:
-        raise ValueError("dim and labels must be given and consistent")
+            entries.append((line, words[0], words[1:], tail))
+    if set(header) != {"dim", "labels"}:
+        raise ValueError("dim and labels must be given")
+    line, tail = header["dim"]
+    try:
+        dim = int(tail)
+    except ValueError:
+        raise _line_error(line, "dim is not an integer") from None
+    line, tail = header["labels"]
+    labels = tuple(tok.strip() for tok in tail.split(","))
+    if len(labels) != dim or len(set(labels)) != dim or not all(labels):
+        raise _line_error(line, f"expected {dim} distinct labels")
     index = {lab: i for i, lab in enumerate(labels)}
+
+    # key -> (names it takes, whether they are labels, values per line)
+    shapes = {"bracket": (2, True, dim), "form": (2, True, 1),
+              "sigma": (1, True, dim), "theta": (1, True, dim),
+              "h": (1, False, dim), "l": (1, False, dim),
+              "zbasis": (1, False, dim), "tbasis": (1, False, dim),
+              "hmodule": (1, False, None)}
+    given = {key: {} for key in shapes}
+    for line, key, names, tail in entries:
+        if key not in shapes:
+            raise _line_error(line, f"unknown key {key!r}")
+        arity, labelled, width = shapes[key]
+        if len(names) != arity:
+            raise _line_error(line, f"{key!r} takes {arity} name(s)")
+        if labelled:
+            unknown = [n for n in names if n not in index]
+            if unknown:
+                raise _line_error(line, f"unknown label {unknown[0]!r}")
+            slot = tuple(index[n] for n in names)
+            if key == "form":
+                slot = tuple(sorted(slot))
+        elif names[0].isdecimal():
+            slot = int(names[0])
+        else:
+            raise _line_error(line, f"index {names[0]!r} is not a number")
+        if slot in given[key]:
+            raise _line_error(line, "duplicate key")
+        values = _line_values(line, tail)
+        if width is not None and len(values) != width:
+            raise _line_error(line, f"expected {width} value(s), found {len(values)}")
+        given[key][slot] = values
+
     table = [[(ZERO,) * dim for _ in range(dim)] for _ in range(dim)]
-    given = set()
-    for (a, b), v in brackets.items():
-        if len(v) != dim:
-            raise ValueError("bracket row has wrong length")
-        i, j = index[a], index[b]
+    for (i, j), v in given["bracket"].items():
         table[i][j] = v
-        given.add((i, j))
-    for i, j in list(given):
-        if (j, i) not in given:
-            table[j][i] = vec_scale(-ONE, table[i][j])
+        if (j, i) not in given["bracket"]:
+            table[j][i] = vec_scale(-ONE, v)
     form = [[ZERO] * dim for _ in range(dim)]
-    for (a, b), v in form_entries.items():
-        form[index[a]][index[b]] = v
-        form[index[b]][index[a]] = v
+    for (i, j), (v,) in given["form"].items():
+        form[i][j] = form[j][i] = v
     algebra = LieAlgebra(labels, table, ExactMatrix(form))
 
-    def matrix_from(cols, name):
-        if set(cols) != set(labels):
+    def matrix_from(name):
+        cols = given[name]
+        if len(cols) != dim:
             raise ValueError(f"{name} must list one column per label")
-        return ExactMatrix([[cols[labels[j]][i] for j in range(dim)]
-                            for i in range(dim)])
+        return ExactMatrix.from_columns([cols[(j,)] for j in range(dim)], dim)
 
-    def basis_from(table):
-        return [table[i] for i in sorted(table)] if table else None
+    def basis_from(key):
+        rows = given[key]
+        return [rows[i] for i in sorted(rows)] if rows else None
 
     return TransitiveTriple(
-        algebra,
-        matrix_from(sigma_cols, "sigma"),
-        matrix_from(theta_cols, "theta"),
-        basis_from(listed["h"]) or [],
-        basis_from(listed["l"]) or [],
-        zq_basis=basis_from(listed["zbasis"]),
-        t_basis=basis_from(listed["tbasis"]),
-        h_module_map=basis_from(listed["hmodule"]),
-    )
+        algebra, matrix_from("sigma"), matrix_from("theta"),
+        basis_from("h") or [], basis_from("l") or [],
+        zq_basis=basis_from("zbasis"), t_basis=basis_from("tbasis"),
+        h_module_map=basis_from("hmodule"))
 
 
 def load_triple(path):

@@ -222,9 +222,9 @@ def test_criterion_10_fixed_side_kernels(triple):
 
 def test_criterion_11_truncated_kernels_and_scans():
     # cold caches: the budget covers the real construction work
-    spectral._module_cache.clear()
-    spectral._line_cache.clear()
-    spectral._single_side_cache = None
+    spectral.scan_module.cache_clear()
+    spectral.scan_lines.cache_clear()
+    spectral.single_side.cache_clear()
     start = time.perf_counter()
     problems = []
     for m in range(6):

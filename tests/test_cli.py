@@ -1,6 +1,7 @@
 """Command line wiring: exit codes, output formats, and the table subcommand."""
 
 import json
+from pathlib import Path
 
 import pytest
 
@@ -9,6 +10,8 @@ from diracembed import cli
 from diracembed import report
 
 PINNED_TABLE_WEIGHT_0 = '[["DS+",2,"C",-1],["Trivial",null,"C",-1]]\n'
+# the JSON report of every suite at the default weight and truncation
+PINNED_VERIFY_ALL = Path(__file__).parent / "data" / "verify_all.json"
 
 
 def test_verify_clifford_exits_clean(capsys):
@@ -94,6 +97,20 @@ def test_table_higher_weights(capsys):
     assert cli.main(["table64", "--weight", "4"]) == 0
     rows = json.loads(capsys.readouterr().out)
     assert rows == [["DS+", 4, "C", 1], ["DS-", -2, "C", -3]]
+    # past weight 20 the scans reach nu = -13 and mu = 11
+    assert cli.main(["table64", "--weight", "22"]) == 0
+    rows = json.loads(capsys.readouterr().out)
+    assert rows == [["DS+", 13, "C", 10], ["DS-", -11, "C", -12]]
+
+
+def test_verify_spectral_past_weight_20(capsys):
+    assert cli.main(["verify", "spectral", "--weight", "22"]) == 0
+    assert "fail" not in capsys.readouterr().out
+
+
+def test_verify_all_json_is_pinned(capsys):
+    assert cli.main(["verify", "all", "--format", "json"]) == 0
+    assert capsys.readouterr().out == PINNED_VERIFY_ALL.read_text(encoding="utf-8")
 
 
 def test_table_requires_an_even_weight():

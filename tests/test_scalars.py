@@ -328,6 +328,12 @@ def field_matrices(n, m):
                     min_size=n, max_size=n).map(ExactMatrix)
 
 
+def with_zero_rows(m):
+    """m with a row of zeros before, between and after its rows."""
+    zero = [ZERO] * m.ncols
+    return ExactMatrix([zero] + [r for row in m.rows for r in (row, zero)])
+
+
 @pytest.fixture(scope="module")
 def sympy_field():
     """sympy's Q(sqrt2, i) and the map sending a scalar to its element,
@@ -379,9 +385,10 @@ def test_equal_values_share_one_canonical_form(x, y):
         same(-(y.inverse()), (-y).inverse())
 
 
-@given(a=field_matrices(3, 4), b=field_matrices(3, 4), c=field_matrices(4, 2))
+@given(a=field_matrices(3, 4), b=field_matrices(3, 4), c=field_matrices(4, 2),
+       z=field_matrices(3, 4).map(with_zero_rows))
 @settings(max_examples=30, deadline=None)
-def test_matrix_layer_agrees_with_sympy_domain_matrices(sympy_field, a, b, c):
+def test_matrix_layer_agrees_with_sympy_domain_matrices(sympy_field, a, b, c, z):
     from sympy.polys.matrices import DomainMatrix
     field, element = sympy_field
 
@@ -406,6 +413,14 @@ def test_matrix_layer_agrees_with_sympy_domain_matrices(sympy_field, a, b, c):
     assert tuple(pivots) == tuple(sympy_pivots)
     kernel = sympy_reduced.nullspace_from_rref(sympy_pivots)
     assert [[element(x) for x in v.col(0)] for v in a.nullspace()] == kernel.to_list()
+
+    # zero rows between nonzero ones, which elimination sets aside
+    reduced, pivots = z.rref()
+    sympy_reduced, sympy_pivots = convert(z).rref()
+    assert entries(reduced) == sympy_reduced.to_list()
+    assert tuple(pivots) == tuple(sympy_pivots)
+    kernel = sympy_reduced.nullspace_from_rref(sympy_pivots)
+    assert [[element(x) for x in v.col(0)] for v in z.nullspace()] == kernel.to_list()
 
 
 @given(field_matrices(3, 5), st.lists(st.integers(0, 5), max_size=4))

@@ -1,12 +1,18 @@
 """The rank-one transitive triple: eigenstructure, slice maps, invariants."""
 
+import re
+from datetime import timedelta
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from diracembed import (ONE, SQRT2, TransitiveTriple, TripleStructureError,
-                        ZERO, build_sl2_triple, clifford_commutator,
+                        ZERO, build_sl2_triple, clifford_commutator, coerce,
                         dump_triple_description, omega_rescaling_cases,
                         omega_value, parse_triple_description, solve_in_span,
                         unit_vector, vec_is_zero, vec_scale, vec_sub)
+from diracembed.triple import _divisors, _rational_roots
 
 
 @pytest.fixture(scope="module")
@@ -215,3 +221,102 @@ def test_parse_rejects_malformed_text():
         parse_triple_description("dim: x\n")
     with pytest.raises(ValueError):
         parse_triple_description("labels: a, b\n")
+
+
+ROW = ", ".join(["0"] * 6)
+
+
+@pytest.mark.parametrize("head, bad_lines", [
+    # an unknown label
+    ("bracket h1 e1", ["bracket h1 x9: " + ROW]),
+    ("form h1 h1", ["form h1 zz: 2"]),
+    # a missing label, a short column, an empty value list
+    ("bracket h1 e1", ["bracket h1: " + ROW]),
+    ("sigma h1", ["sigma h1: 0, 0, 0, 1, 0"]),
+    ("theta e1", ["theta e1: 0, -1, 0, 0, 0"]),
+    ("form h1 h1", ["form h1 h1:"]),
+    # extra entries, zero or not, and extra values
+    ("sigma h1", ["sigma h1: 0, 0, 0, 1, 0, 0, 0"]),
+    ("theta h1", ["theta h1: 1, 0, 0, 0, 0, 0, 5"]),
+    ("form h1 h1", ["form h1 h1: 2, 3"]),
+    # a duplicated key
+    ("form e1 f1", ["form e1 f1: 1", "form e1 f1: 1"]),
+    ("h 0", ["h 0: 1, 0, 0, 1, 0, 0", "h 0: 1, 0, 0, 1, 0, 0"]),
+    # a row of the wrong length, a zero denominator, a bad index
+    ("h 0", ["h 0: 1, 0, 0, 1, 0"]),
+    ("l 0", ["l 0: 1, 0, 0, 0, 0, 1/0"]),
+    ("l 0", ["l x: 1, 0, 0, 0, 0, 0"]),
+])
+def test_parse_rejects_malformed_lines_naming_them(triple, head, bad_lines):
+    lines = dump_triple_description(triple).splitlines()
+    at = next(k for k, line in enumerate(lines)
+              if line.partition(":")[0] == head)
+    lines[at:at + 1] = bad_lines
+    with pytest.raises(ValueError, match=re.escape(repr(bad_lines[-1]))):
+        parse_triple_description("\n".join(lines))
+
+
+MUTATIONS = st.lists(st.tuples(
+    st.sampled_from(["delete", "duplicate", "truncate", "drop_value",
+                     "add_value", "replace_value", "replace_word",
+                     "insert_char"]),
+    st.integers(0, 10 ** 4), st.integers(0, 10 ** 4),
+    st.sampled_from(["0", "1", "-1", "1/2", "1/0", "x", "", "i", ":", ",",
+                     "#", "h1", "zz", "7", "form", "sigma", "hmodule", "dim",
+                     "0 + 1*r2 + i*(0 + 0*r2)"])), min_size=1, max_size=3)
+
+
+def _mutate(lines, op, i, j, token):
+    """Apply one edit to the line i (mod the line count)."""
+    lines = list(lines)
+    if not lines:
+        return lines
+    i %= len(lines)
+    line = lines[i]
+    head, sep, tail = line.partition(":")
+    values, words = tail.split(","), head.split()
+    if op == "delete":
+        del lines[i]
+    elif op == "duplicate":
+        lines.insert(i, line)
+    elif op == "truncate":
+        lines[i] = line[:j % (len(line) + 1)]
+    elif op == "drop_value":
+        values.pop(j % len(values))
+        lines[i] = head + sep + ",".join(values)
+    elif op == "add_value":
+        lines[i] = line + ", " + token
+    elif op == "replace_value":
+        values[j % len(values)] = " " + token
+        lines[i] = head + sep + ",".join(values)
+    elif op == "replace_word" and words:
+        words[j % len(words)] = token
+        lines[i] = " ".join(words) + sep + tail
+    elif op == "insert_char":
+        at = j % (len(line) + 1)
+        lines[i] = line[:at] + token[:1] + line[at:]
+    return lines
+
+
+@given(MUTATIONS)
+@settings(max_examples=200, deadline=timedelta(seconds=5))
+def test_parse_fuzzed_descriptions_raise_only_value_errors(triple, edits):
+    lines = dump_triple_description(triple).splitlines()
+    for edit in edits:
+        lines = _mutate(lines, *edit)
+    try:
+        parse_triple_description("\n".join(lines))
+    except ValueError:
+        pass
+
+
+def test_divisors_agree_with_trial_division():
+    for n in range(1, 501):
+        assert _divisors(n) == [d for d in range(1, n + 1) if n % d == 0]
+    assert _divisors(0) == [1]
+
+
+def test_rational_roots_of_a_large_constant_term():
+    # (x - 10^6)(x + 10^6) = x^2 - 10^12: about 10^6 trial divisions
+    roots = _rational_roots([coerce(-10 ** 12), ZERO, ONE])
+    assert sorted(r.a for r in roots) == [-10 ** 6, 10 ** 6]
