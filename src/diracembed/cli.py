@@ -25,6 +25,8 @@ _TARGETS = {
     "spectral": ["spectral"],
 }
 
+MAX_TRUNCATION = 2000     # the kernel scans take time linear in it
+
 
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
@@ -41,8 +43,8 @@ def _build_parser() -> argparse.ArgumentParser:
                         help="highest weight of the twisting module "
                              "(default 4; odd values only for spectral)")
     verify.add_argument("--truncation", type=int, default=40,
-                        help="levels kept in truncated weight modules "
-                             "(default 40)")
+                        help="levels kept in truncated weight modules, "
+                             f"2 to {MAX_TRUNCATION} (default 40)")
     verify.add_argument("--format", choices=["text", "json"], default="text",
                         help="report format (default text)")
     verify.add_argument("--out", help="write the report to this file")
@@ -80,8 +82,8 @@ def main(argv=None) -> int:
     if args.weight % 2 != 0 and args.target != "spectral":
         parser.error(f"odd --weight is only accepted by verify spectral "
                      f"(verify {args.target} needs an even weight)")
-    if args.truncation < 2:
-        parser.error("--truncation must be at least 2")
+    if not 2 <= args.truncation <= MAX_TRUNCATION:
+        parser.error(f"--truncation must be between 2 and {MAX_TRUNCATION}")
 
     results = report.run_suites(_TARGETS[args.target], weight=args.weight,
                                 truncation=args.truncation)

@@ -104,10 +104,6 @@ class CliffordElement:
     def is_zero(self) -> bool:
         return not self.terms
 
-    def degree_part(self, d: int) -> "CliffordElement":
-        return CliffordElement(self.space,
-                               {m: c for m, c in self.terms.items() if len(m) == d})
-
     def even_part(self) -> "CliffordElement":
         return CliffordElement(self.space,
                                {m: c for m, c in self.terms.items() if len(m) % 2 == 0})
@@ -115,9 +111,6 @@ class CliffordElement:
     def odd_part(self) -> "CliffordElement":
         return CliffordElement(self.space,
                                {m: c for m, c in self.terms.items() if len(m) % 2 == 1})
-
-    def is_homogeneous(self) -> bool:
-        return len({len(m) % 2 for m in self.terms}) <= 1
 
     def parity(self) -> int:
         """0 for even, 1 for odd; the zero element counts as even."""
@@ -128,15 +121,6 @@ class CliffordElement:
 
     def coefficient(self, indices) -> ExactScalar:
         return self.terms.get(tuple(indices), ZERO)
-
-    def scalar_part(self) -> ExactScalar:
-        return self.terms.get((), ZERO)
-
-    def vector_coords(self) -> tuple:
-        """Coordinates of a degree-1 element; raises on anything else."""
-        if any(len(m) != 1 for m in self.terms):
-            raise ValueError("element is not of pure degree 1")
-        return tuple(self.terms.get((i,), ZERO) for i in range(self.space.dim))
 
     # -- arithmetic --------------------------------------------------------
 

@@ -14,6 +14,8 @@ action is gamma of the degree-two image of Y on the spinor factor plus the
 module action of Y on the twist.
 """
 
+from functools import cache
+
 from .scalars import ExactMatrix, coerce, ONE, SQRT2
 from .lie import vec_sub, vec_scale, vec_combination, vec_is_zero, unit_vector
 from .triple import solve_in_span
@@ -116,13 +118,39 @@ def beta_action(triple, module, y):
     vector over the module's algebra; y is expanded over the h-basis and
     pushed through.
     """
-    if triple.h_module_map is None:
-        raise ValueError("the triple carries no h-module map")
+    rows = _module_map(triple, module.algebra)
     coords = solve_in_span(triple.h_basis, tuple(coerce(c) for c in y))
     if coords is None:
         raise ValueError("vector is not in the fixed subalgebra")
-    return module.action(vec_combination(coords, triple.h_module_map,
-                                         module.algebra.dim))
+    return module.action(vec_combination(coords, rows, module.algebra.dim))
+
+
+@cache
+def _h_brackets(triple):
+    """(i, j, coordinates of [h_i, h_j] over the h basis) for i < j."""
+    h = triple.h_basis
+    return [(i, j, solve_in_span(h, triple.algebra.bracket(h[i], h[j])))
+            for i in range(len(h)) for j in range(i + 1, len(h))]
+
+
+def _module_map(triple, algebra):
+    """The rows of the triple's h-module map, checked against the algebra
+    its modules live over: each row has algebra.dim entries, and the map
+    carries the bracket of any two h basis vectors to the bracket of
+    their images.  Raises a ValueError naming the row or the pair."""
+    rows = triple.h_module_map
+    if rows is None:
+        raise ValueError("the triple carries no h-module map")
+    for idx, row in enumerate(rows):
+        if len(row) != algebra.dim:
+            raise ValueError(f"hmodule {idx} has {len(row)} entries, but "
+                             f"the module's algebra has dimension {algebra.dim}")
+    for i, j, coords in _h_brackets(triple):
+        if vec_combination(coords, rows, algebra.dim) != \
+                algebra.bracket(rows[i], rows[j]):
+            raise ValueError(f"hmodule does not carry the bracket of "
+                             f"h {i} and h {j} to that of their images")
+    return rows
 
 
 def fiber_action(triple, module, y):
@@ -368,11 +396,12 @@ def algebraic_dirac(pair, action_of, spin):
 
     action_of maps an ambient coordinate vector to its action matrix on a
     module V; the result acts on V (x) S.  The value does not depend on
-    the choice of orthonormal complement basis.
+    the choice of orthonormal complement basis.  The matrices need not be
+    square: with b |-> the 1 x n row of b's coordinates the result is the
+    spin-side symbol [C_0 | ... | C_{n-1}] of sum_k pi(x_k) (x) C_k.
     """
     first = action_of(pair.complement_basis[0])
-    size = first.nrows * spin.dim
-    out = ExactMatrix.zeros(size, size)
+    out = ExactMatrix.zeros(first.nrows * spin.dim, first.ncols * spin.dim)
     for j, b in enumerate(pair.complement_basis):
         sign = coerce(pair.space.signs[j])
         out = out + (action_of(b) * sign).kron(spin.gamma_generator(j))

@@ -164,12 +164,9 @@ def direct_sum(a: LieAlgebra, b: LieAlgebra, suffixes=("1", "2")) -> LieAlgebra:
     for i in range(m):
         for j in range(m):
             brackets[n + i][n + j] = tuple([ZERO] * n) + tuple(b.brackets[i][j])
-    form_rows = []
-    for i in range(n):
-        form_rows.append(list(a.form.rows[i]) + [ZERO] * m)
-    for i in range(m):
-        form_rows.append([ZERO] * n + list(b.form.rows[i]))
-    return LieAlgebra(labels, brackets, ExactMatrix(form_rows))
+    form = dict(a.form.items())
+    form.update(((n + i, n + j), x) for (i, j), x in b.form.items())
+    return LieAlgebra(labels, brackets, ExactMatrix.from_entries(n + m, n + m, form))
 
 
 class WeightModule:

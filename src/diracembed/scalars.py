@@ -10,6 +10,7 @@ nonzeros it touches rather than to the full shape.
 """
 from __future__ import annotations
 
+import functools
 import math
 import re
 from fractions import Fraction
@@ -78,11 +79,6 @@ class ExactScalar:
         _, b, c, d, _ = self._parts
         return not (b or c or d)
 
-    def rational_value(self) -> Fraction:
-        if not self.is_rational():
-            raise ValueError(f"{self} is not rational")
-        return self.a
-
     # -- arithmetic ------------------------------------------------------
 
     def __add__(self, other):
@@ -144,11 +140,6 @@ class ExactScalar:
         """Complex conjugation: i -> -i."""
         a, b, c, d, den = self._parts
         return _scalar((a, b, -c, -d, den))
-
-    def sqrt2_conjugate(self) -> "ExactScalar":
-        """Galois conjugation sqrt2 -> -sqrt2."""
-        a, b, c, d, den = self._parts
-        return _scalar((a, -b, c, -d, den))
 
     def inverse(self) -> "ExactScalar":
         a, b, c, d, den = self._parts
@@ -354,6 +345,60 @@ def real_sqrt(x: ExactScalar):
     return None
 
 
+def rational_roots(char_coeffs):
+    """Rational roots of a monic polynomial with rational coefficients.
+
+    char_coeffs lists c_0 .. c_n for c_0 + c_1 x + ... + c_n x^n.  Scalars
+    with irrational or imaginary parts make the search return nothing.
+    The roots are y / a_n for the integer roots y of a_n^(n-1) f(y / a_n),
+    found by bisection in time polynomial in the coefficients' bit size.
+    """
+    fracs = []
+    for c in char_coeffs:
+        if not c.is_rational():
+            return []
+        fracs.append(c.a)
+    while fracs and fracs[-1] == 0:
+        fracs.pop()
+    if len(fracs) < 2:
+        return []
+    scale = math.lcm(*(f.denominator for f in fracs))
+    ints = [int(f * scale) for f in fracs]
+    n, lead = len(ints) - 1, ints[-1]
+    monic = [c * lead ** (n - 1 - k) for k, c in enumerate(ints[:-1])] + [1]
+    return [coerce(Fraction(y, lead)) for y in _root_floors(monic)
+            if _evaluate(monic, y) == 0]
+
+
+def _evaluate(poly, x):
+    return functools.reduce(lambda value, c: value * x + c, reversed(poly), 0)
+
+
+def _root_floors(poly):
+    """Sorted integers that include floor(r) for each real root r of an
+    integer polynomial (coefficients low to high): the derivative's
+    candidates k, for roots in [k, k + 1), and a bisection inside the
+    Cauchy bound on each monotone stretch between them."""
+    if len(poly) < 2:
+        return []
+    bound = 2 + max(abs(c) for c in poly[:-1]) // abs(poly[-1])
+    critical = _root_floors([k * c for k, c in enumerate(poly)][1:])
+    out = set(critical)
+    for lo, hi in zip([-bound] + [k + 1 for k in critical], critical + [bound]):
+        f_lo, f_hi = _evaluate(poly, lo), _evaluate(poly, hi)
+        if f_lo == 0:
+            out.add(lo)
+        elif (f_lo > 0) != (f_hi > 0) and f_hi != 0:
+            while hi - lo > 1:        # keep the sign change inside [lo, hi]
+                mid = (lo + hi) // 2
+                if (_evaluate(poly, mid) > 0) == (f_lo > 0):
+                    lo = mid
+                else:
+                    hi = mid
+            out.update((lo, hi))
+    return sorted(out)
+
+
 ZERO = ExactScalar(0)
 ONE = ExactScalar(1)
 I = ExactScalar(0, 0, 1)
@@ -552,23 +597,24 @@ class ExactMatrix:
         out = [{place[j]: x for j, x in r.items() if j in place} for r in self._rows]
         return ExactMatrix._wrap(out, len(place))
 
-    def split_columns(self, widths) -> list:
-        """The consecutive blocks of columns of the given widths, left to
-        right, cut in one pass over the nonzeros."""
-        widths = list(widths)
-        if any(w < 0 for w in widths) or sum(widths) != self._ncols:
-            raise ValueError(f"widths {widths} do not split {self._ncols} columns")
-        place = [(k, offset) for k, w in enumerate(widths) for offset in range(w)]
-        empty = {}                       # rows are never mutated: share
-        blocks = [[empty] * len(self._rows) for _ in widths]
+    def column_blocks(self, groups) -> list:
+        """One block per group of column indices: ``select_columns(group)``
+        without its zero rows, so with the same nullspace.  All blocks are
+        cut in one pass over the nonzeros; columns in no group are dropped."""
+        groups = [list(g) for g in groups]
+        place = {j: (k, offset) for k, group in enumerate(groups)
+                 for offset, j in enumerate(group)}
+        if len(place) != sum(map(len, groups)) or \
+                not all(0 <= j < self._ncols for j in place):
+            raise ValueError(f"groups repeat a column or leave {self._ncols} columns")
+        blocks = [{} for _ in groups]     # row index -> row, in row order
         for i, r in enumerate(self._rows):
             for j, x in r.items():
-                k, offset = place[j]
-                row = blocks[k][i]
-                if row is empty:
-                    row = blocks[k][i] = {}
-                row[offset] = x
-        return [ExactMatrix._wrap(rows, w) for rows, w in zip(blocks, widths)]
+                if j in place:
+                    k, offset = place[j]
+                    blocks[k].setdefault(i, {})[offset] = x
+        return [ExactMatrix._wrap(list(rows.values()), len(group))
+                for rows, group in zip(blocks, groups)]
 
     def trace(self) -> ExactScalar:
         if self.nrows != self.ncols:
@@ -661,10 +707,6 @@ class ExactMatrix:
             raise ValueError("matrix is singular")
         return ExactMatrix._wrap([{c - n: x for c, x in r.items() if c >= n}
                                   for r in reduced._rows], n)
-
-    def solve(self, rhs: "ExactMatrix") -> "ExactMatrix":
-        """Solve self @ x = rhs for a square invertible self."""
-        return self.inverse() @ rhs
 
     def char_poly(self):
         """Characteristic polynomial det(tI - M) by the Faddeev-LeVerrier scheme.

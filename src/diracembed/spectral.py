@@ -49,11 +49,6 @@ class CharacterLabel(NamedTuple):
     b: int
 
     @property
-    def w_scalar(self) -> ExactScalar:
-        """Scalar action of the fixed-side rotation generator: i(a+b)/2."""
-        return I * coerce(Fraction(self.a + self.b, 2))
-
-    @property
     def z_scalar(self) -> ExactScalar:
         """Scalar action of the slice rotation generator: i(a-b)/2."""
         return I * coerce(Fraction(self.a - self.b, 2))
@@ -371,6 +366,10 @@ def truncated_dirac_kernel(module: WeightModule, n_certified: int = None) -> lis
     line is a genuine kernel line of the untruncated module.  Passing
     n_certified shrinks the window further; asking for more levels than
     are certified raises TruncationArtifactError.
+
+    The operator, sum_k pi(x_k) (x) C_k from its rational spin-side
+    symbol, keeps the torus weight, so each weight's columns and the rows
+    they reach (at most two) form a block solved on its own.
     """
     g, pair, spin, names, slot_w = single_side()
     if module.algebra != g:
@@ -382,25 +381,28 @@ def truncated_dirac_kernel(module: WeightModule, n_certified: int = None) -> lis
         raise TruncationArtifactError(
             f"window of {n_certified} levels exceeds the {certified} "
             f"certified ones")
-    op = algebraic_dirac(pair, module.action, spin)
+    symbol = algebraic_dirac(pair, lambda b: ExactMatrix([b]), spin)
+    window = range(n_certified)
+    op = ExactMatrix.zeros(module.dim * spin.dim, n_certified * spin.dim)
+    for k, action in enumerate(module.actions):
+        c_k = symbol.select_columns(range(k * spin.dim, (k + 1) * spin.dim))
+        if not c_k.is_zero():
+            op = op + action.select_columns(window).kron(c_k)
     by_total = defaultdict(list)
-    for j in range(n_certified):
+    for j in window:
         for s in range(spin.dim):
-            flat = j * spin.dim + s
-            by_total[module.weights[j] + slot_w[s]].append((flat, j, s))
-    # the certified columns, grouped by total, then cut into one block per
-    # group: two passes over the nonzeros however many groups there are
+            by_total[module.weights[j] + slot_w[s]].append((j, s))
     totals = sorted(by_total)
-    window = op.select_columns([c for t in totals for (c, _, _) in by_total[t]])
-    subs = window.split_columns([len(by_total[t]) for t in totals])
+    blocks = op.column_blocks([j * spin.dim + s for j, s in by_total[t]]
+                              for t in totals)
     lines = []
-    for total, sub in zip(totals, subs):
+    for total, block in zip(totals, blocks):
         group = by_total[total]
-        for nv in sub.nullspace():
+        for nv in block.nullspace():
             support = [k for k in range(nv.nrows) if not nv[k, 0].is_zero()]
             if len(support) != 1:
                 raise SpectralError("kernel line mixes module levels")
-            _, level, s_idx = group[support[0]]
+            level, s_idx = group[support[0]]
             lines.append(KernelLine(total, names[s_idx], level))
     return sorted(lines)
 
@@ -420,15 +422,19 @@ def scan_depth(m: int) -> int:
     return max(12, m + 2)
 
 
+def _hits(members, target_total: int, slot: str) -> list:
+    """The parameters of the (parameter, scan_lines key) members whose
+    kernel meets the target line."""
+    return [p for p, key in members
+            if any(l.total == target_total and l.slot == slot
+                   for l in scan_lines(*key))]
+
+
 def highest_weight_scan(target_total: int, slot: str,
                         depth: int = 12, n_levels: int = 40) -> list:
     """Parameters nu in {-1..-depth} whose kernel meets the target line."""
-    hits = []
-    for nu in range(-1, -depth - 1, -1):
-        lines = scan_lines("highest", nu, n_levels)
-        if any(l.total == target_total and l.slot == slot for l in lines):
-            hits.append(nu)
-    return hits
+    return _hits([(nu, ("highest", nu, n_levels))
+                  for nu in range(-1, -depth - 1, -1)], target_total, slot)
 
 
 def lowest_weight_scan(target_total: int, slot: str,
@@ -439,15 +445,8 @@ def lowest_weight_scan(target_total: int, slot: str,
     honest irreducible quotient); mu >= 1 are the irreducible truncated
     lowest weight modules.
     """
-    hits = []
-    for mu in range(0, depth + 1):
-        if mu == 0:
-            lines = scan_lines("finite", 0, 0)
-        else:
-            lines = scan_lines("lowest", mu, n_levels)
-        if any(l.total == target_total and l.slot == slot for l in lines):
-            hits.append(mu)
-    return hits
+    return _hits([(mu, ("lowest", mu, n_levels) if mu else ("finite", 0, 0))
+                  for mu in range(depth + 1)], target_total, slot)
 
 
 def _dual_row(kind: str, param: int) -> list:

@@ -130,8 +130,8 @@ class SpinModule:
     def _build_generator_matrices(self):
         pol = self.polarization
         n_iso = len(pol.plus)
-        wedge = [self._wedge_matrix(j) for j in range(n_iso)]
-        contract = [self._contract_matrix(j) for j in range(n_iso)]
+        wedge = [self._ladder_matrix(j, True) for j in range(n_iso)]
+        contract = [self._ladder_matrix(j, False) for j in range(n_iso)]
         odd_mat = self._odd_matrix() if pol.odd is not None else None
         # expansion of each space generator in the polarization basis
         cols = list(pol.plus + pol.minus) + ([pol.odd] if pol.odd is not None else [])
@@ -150,35 +150,25 @@ class SpinModule:
             gens.append(m)
         return gens
 
-    def _wedge_matrix(self, j: int) -> ExactMatrix:
-        rows = [[ZERO] * self.dim for _ in range(self.dim)]
+    def _ladder_matrix(self, j: int, wedge: bool) -> ExactMatrix:
+        """Wedging with plus vector j, or contracting against it; either
+        way the sign is (-1) to the number of indices before j."""
+        entries = {}
         for col, subset in enumerate(self.basis):
-            if j in subset:
+            if (j in subset) == wedge:
                 continue
+            new = (tuple(sorted(subset + (j,))) if wedge
+                   else tuple(t for t in subset if t != j))
             pos = sum(1 for t in subset if t < j)
-            new = tuple(sorted(subset + (j,)))
-            sign = ONE if pos % 2 == 0 else -ONE
-            rows[self.index[new]][col] = sign
-        return ExactMatrix(rows)
-
-    def _contract_matrix(self, j: int) -> ExactMatrix:
-        rows = [[ZERO] * self.dim for _ in range(self.dim)]
-        for col, subset in enumerate(self.basis):
-            if j not in subset:
-                continue
-            pos = subset.index(j)                     # zero-based slot
-            new = tuple(t for t in subset if t != j)
-            sign = ONE if pos % 2 == 0 else -ONE      # (-1)^{pos}
-            rows[self.index[new]][col] = sign
-        return ExactMatrix(rows)
+            entries[self.index[new], col] = ONE if pos % 2 == 0 else -ONE
+        return ExactMatrix.from_entries(self.dim, self.dim, entries)
 
     def _odd_matrix(self) -> ExactMatrix:
         s = ONE if self.polarization.odd_norm_sign == 1 else I
         base = coerce(self.zeta) * s * INV_SQRT2
-        rows = [[ZERO] * self.dim for _ in range(self.dim)]
-        for col, subset in enumerate(self.basis):
-            rows[col][col] = base if len(subset) % 2 == 0 else -base
-        return ExactMatrix(rows)
+        return ExactMatrix.from_entries(self.dim, self.dim, {
+            (col, col): base if len(subset) % 2 == 0 else -base
+            for col, subset in enumerate(self.basis)})
 
     # -- the gamma map -----------------------------------------------------
 

@@ -12,11 +12,8 @@ orthonormalized bases of the pieces of l, the reductive pairs used by the
 Dirac constructions, and the spin modules over their complements.
 """
 
-import math
-from fractions import Fraction
-
-from .scalars import (ExactMatrix, coerce, parse_scalar, real_sqrt,
-                      ZERO, ONE, I, HALF, INV_SQRT2)
+from .scalars import (ExactMatrix, coerce, parse_scalar, rational_roots,
+                      real_sqrt, ZERO, ONE, I, HALF, INV_SQRT2)
 from .lie import (LieAlgebra, vec_add, vec_sub, vec_scale, vec_combination,
                   vec_is_zero, unit_vector, sl2, direct_sum)
 from .clifford import ReductivePair
@@ -91,8 +88,8 @@ class TransitiveTriple:
         optional preferred orthonormalized bases of l cap k cap (l(nu), nu
         != 1) and of l cap s.  When omitted they are computed.
     h_module_map:
-        optional images of the h-basis vectors inside a coordinate space
-        on which auxiliary modules are defined; stored untouched.
+        optional images of the h-basis vectors, one each, inside the
+        coordinate space of the algebra that twist modules live over.
     """
 
     def __init__(self, algebra, sigma, theta, h_basis, l_basis,
@@ -199,6 +196,9 @@ class TransitiveTriple:
         self.spin_ls = SpinModule(self.space_ls)
         self.spin_qlp = SpinModule(self.space_qlp)
 
+        if h_module_map is not None and len(h_module_map) != len(self.h_basis):
+            raise TripleStructureError(
+                "the h-module map needs one row per h basis vector")
         self.h_module_map = h_module_map
 
     # -- construction helpers -------------------------------------------
@@ -250,7 +250,7 @@ class TransitiveTriple:
             raise TripleStructureError("the form is degenerate on l")
         operator = b.inverse() @ a
         candidates = [ONE, -ONE, ZERO]
-        for root in _rational_roots(operator.char_poly()):
+        for root in rational_roots(operator.char_poly()):
             if root not in candidates:
                 candidates.append(root)
         spaces = []
@@ -353,49 +353,6 @@ class TransitiveTriple:
         return seen.pop()
 
 
-def _rational_roots(char_coeffs):
-    """Rational roots of a monic polynomial with rational coefficients.
-
-    char_coeffs lists c_0 .. c_n for c_0 + c_1 x + ... + c_n x^n.  Scalars
-    with irrational or imaginary parts make the search return nothing.
-    """
-    fracs = []
-    for c in char_coeffs:
-        if not c.is_rational():
-            return []
-        fracs.append(c.a)
-    while fracs and fracs[-1] == 0:
-        fracs.pop()
-    if len(fracs) < 2:
-        return []
-    scale = math.lcm(*(f.denominator for f in fracs))
-    ints = [int(f * scale) for f in fracs]
-    while ints and ints[0] == 0:
-        ints.pop(0)
-    if not ints:
-        return []
-    lead, const = abs(ints[-1]), abs(ints[0])
-    roots = []
-    for p in _divisors(const):
-        for q in _divisors(lead):
-            for cand in (Fraction(p, q), Fraction(-p, q)):
-                value = Fraction(0)
-                for c in reversed(fracs):
-                    value = value * cand + c
-                if value == 0:
-                    s = coerce(cand)
-                    if s not in roots:
-                        roots.append(s)
-    return roots
-
-
-def _divisors(n):
-    """The positive divisors of n in increasing order ([1] for n = 0)."""
-    small = [d for d in range(1, math.isqrt(n) + 1) if n % d == 0]
-    large = [n // d for d in reversed(small) if d * d != n]
-    return small + large or [1]
-
-
 def _orthonormalize(algebra, vectors):
     """Orthogonal basis with norms +-1 for the span of the given vectors.
 
@@ -488,11 +445,9 @@ def build_sl2_triple():
     """
     g = direct_sum(sl2(), sl2())
     n = g.dim
-    swap = ExactMatrix([[ONE if (i + 3) % 6 == j else ZERO
-                         for j in range(n)] for i in range(n)])
-    theta_diag = [ONE, -ONE, -ONE, ONE, -ONE, -ONE]
-    theta = ExactMatrix([[theta_diag[i] if i == j else ZERO
-                          for j in range(n)] for i in range(n)])
+    swap = ExactMatrix.from_entries(n, n, {(i, (i + 3) % 6): 1 for i in range(n)})
+    theta = ExactMatrix.from_entries(
+        n, n, {(i, i): d for i, d in enumerate([1, -1, -1, 1, -1, -1])})
     half_i = I * HALF
     h_basis = [
         vec_add(unit_vector(n, 0), unit_vector(n, 3)),
@@ -624,7 +579,9 @@ def parse_triple_description(text):
         if slot in given[key]:
             raise _line_error(line, "duplicate key")
         values = _line_values(line, tail)
-        if width is not None and len(values) != width:
+        if width is None:           # every hmodule row as long as the first
+            shapes[key] = (arity, labelled, len(values))
+        elif len(values) != width:
             raise _line_error(line, f"expected {width} value(s), found {len(values)}")
         given[key][slot] = values
 

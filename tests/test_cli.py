@@ -72,6 +72,17 @@ def test_verify_rejects_negative_weight_and_tiny_truncation():
     assert exc.value.code == 2
 
 
+def test_verify_rejects_a_truncation_past_the_limit(capsys):
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["verify", "spectral", "--truncation",
+                  str(cli.MAX_TRUNCATION + 1)])
+    assert exc.value.code == 2
+    assert "--truncation" in capsys.readouterr().err
+    with pytest.raises(SystemExit):
+        cli.main(["verify", "--help"])
+    assert f"2 to {cli.MAX_TRUNCATION}" in " ".join(capsys.readouterr().out.split())
+
+
 def test_verify_unknown_target_is_a_usage_error():
     with pytest.raises(SystemExit) as exc:
         cli.main(["verify", "everything"])

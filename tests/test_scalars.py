@@ -89,14 +89,12 @@ def test_int_and_fraction_operands_mix_in(x):
 @given(scalars, scalars)
 def test_conjugations_are_multiplicative(x, y):
     assert (x * y).conjugate() == x.conjugate() * y.conjugate()
-    assert (x * y).sqrt2_conjugate() == x.sqrt2_conjugate() * y.sqrt2_conjugate()
     assert (x + y).conjugate() == x.conjugate() + y.conjugate()
 
 
 @given(scalars)
 def test_conjugations_are_involutions(x):
     assert x.conjugate().conjugate() == x
-    assert x.sqrt2_conjugate().sqrt2_conjugate() == x
     assert (x * x.conjugate()).is_real()
 
 
@@ -283,7 +281,7 @@ def test_inverse_roundtrip(m):
 @settings(max_examples=25)
 def test_solve_produces_exact_solutions(a, b):
     if a.rank() == 3:
-        x = a.solve(b)
+        x = a.inverse() @ b
         assert a @ x == b
 
 
@@ -423,13 +421,23 @@ def test_matrix_layer_agrees_with_sympy_domain_matrices(sympy_field, a, b, c, z)
     assert [[element(x) for x in v.col(0)] for v in z.nullspace()] == kernel.to_list()
 
 
-@given(field_matrices(3, 5), st.lists(st.integers(0, 5), max_size=4))
+@given(field_matrices(3, 5).map(with_zero_rows), st.permutations(range(5)),
+       st.lists(st.integers(0, 5), max_size=4))
 @settings(max_examples=30)
-def test_split_columns_cuts_consecutive_blocks(m, cuts):
+def test_column_blocks_keep_only_nonzero_rows(m, order, cuts):
     bounds = [0] + sorted(cuts) + [5]
-    widths = [hi - lo for lo, hi in zip(bounds, bounds[1:])]
-    blocks = m.split_columns(widths)
-    assert blocks == [m.select_columns(range(lo, hi))
-                      for lo, hi in zip(bounds, bounds[1:])]
+    groups = [order[lo:hi] for lo, hi in zip(bounds, bounds[1:])]
+    # the first group's columns are left out
+    blocks = m.column_blocks(groups[1:])
+    assert len(blocks) == len(groups) - 1
+    for group, block in zip(groups[1:], blocks):
+        full = m.select_columns(group)
+        kept = [row for row in full.rows if any(not x.is_zero() for x in row)]
+        assert block == ExactMatrix.from_entries(
+            len(kept), len(group),
+            {(i, j): x for i, row in enumerate(kept) for j, x in enumerate(row)})
+        assert block.nullspace() == full.nullspace()
     with pytest.raises(ValueError):
-        m.split_columns(widths + [1])
+        m.column_blocks([[0], [0]])
+    with pytest.raises(ValueError):
+        m.column_blocks([[5]])

@@ -1,13 +1,16 @@
 """Character blocks, exact cancellation, kernel scans, and the dual table."""
 
+from datetime import timedelta
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from diracembed import (CharacterLabel, ExactMatrix, ExactScalar, I,
                         INV_SQRT2, KernelLine, ONE, SpectralError, SpinModule,
-                        TruncationArtifactError, ZERO, beta_action,
-                        block_eigenvalue, build_sl2_triple, coerce,
+                        TruncationArtifactError, ZERO, algebraic_dirac,
+                        beta_action, block_eigenvalue, build_sl2_triple, coerce,
                         compact_generator_scalar, cubic_scalar,
                         even_weight_cancellation, finite_dirac_kernel,
                         grading_element, highest_weight_module,
@@ -28,7 +31,6 @@ def triple():
 
 def test_character_scalars():
     lab = CharacterLabel(3, 1)
-    assert lab.w_scalar == I * coerce(2)
     assert lab.z_scalar == I
     assert CharacterLabel(0, 0).z_scalar == ZERO
 
@@ -221,6 +223,36 @@ def test_truncation_window_is_enforced():
         truncated_dirac_kernel(module, n_certified=11)
     assert truncated_dirac_kernel(module, n_certified=10) == \
         [KernelLine(2, "1", 0)]
+
+
+def _whole_operator_kernel(module, n_certified):
+    """Kernel lines from the nullspace of the whole operator on M (x) S,
+    restricted to the certified columns."""
+    _, pair, spin, names, slot_w = single_side()
+    op = algebraic_dirac(pair, module.action, spin)
+    lines = []
+    for v in op.select_columns(range(n_certified * spin.dim)).nullspace():
+        (k,) = [k for k in range(v.nrows) if not v[k, 0].is_zero()]
+        level, s = divmod(k, spin.dim)
+        lines.append(KernelLine(module.weights[level] + slot_w[s], names[s],
+                                level))
+    return sorted(lines)
+
+
+@given(st.sampled_from(["finite", "lowest", "highest"]),
+       st.integers(-15, 15), st.integers(2, 60), st.data())
+@settings(max_examples=100, deadline=timedelta(seconds=5))
+def test_kernel_agrees_with_the_whole_operator_nullspace(kind, param,
+                                                         truncation, data):
+    if kind == "finite":
+        module = sl2_irrep(abs(param))
+        certified = module.dim
+    else:
+        module = scan_module(kind, param, truncation)
+        certified = module.dim - 1
+    n_certified = data.draw(st.integers(0, certified), label="n_certified")
+    assert truncated_dirac_kernel(module, n_certified) == \
+        _whole_operator_kernel(module, n_certified)
 
 
 def test_kernel_rejects_foreign_modules(triple):

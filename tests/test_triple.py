@@ -1,7 +1,10 @@
 """The rank-one transitive triple: eigenstructure, slice maps, invariants."""
 
+import math
 import re
+import time
 from datetime import timedelta
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
@@ -11,8 +14,9 @@ from diracembed import (ONE, SQRT2, TransitiveTriple, TripleStructureError,
                         ZERO, build_sl2_triple, clifford_commutator, coerce,
                         dump_triple_description, omega_rescaling_cases,
                         omega_value, parse_triple_description, solve_in_span,
-                        unit_vector, vec_is_zero, vec_scale, vec_sub)
-from diracembed.triple import _divisors, _rational_roots
+                        sl2_irrep, unit_vector, vec_is_zero, vec_scale,
+                        vec_sub, verify_embedding)
+from diracembed.scalars import rational_roots
 
 
 @pytest.fixture(scope="module")
@@ -256,6 +260,50 @@ def test_parse_rejects_malformed_lines_naming_them(triple, head, bad_lines):
         parse_triple_description("\n".join(lines))
 
 
+def _with_hmodule_rows(triple, edit):
+    """The description of triple with each hmodule line's values edited."""
+    lines = []
+    for line in dump_triple_description(triple).splitlines():
+        head, _, tail = line.partition(":")
+        if head.startswith("hmodule"):
+            line = head + ": " + ", ".join(edit(int(head.split()[1]),
+                                                [v.strip() for v in tail.split(",")]))
+        lines.append(line)
+    return "\n".join(lines)
+
+
+def test_short_hmodule_rows_are_rejected_where_the_module_meets_them(triple):
+    # every row cut to two entries: (f, f) would silently map to zero
+    short = parse_triple_description(
+        _with_hmodule_rows(triple, lambda idx, values: values[:2]))
+    with pytest.raises(ValueError, match="hmodule 0 has 2 entries"):
+        verify_embedding(short, sl2_irrep(2))
+
+
+def test_hmodule_map_must_carry_brackets_to_brackets(triple):
+    # images of the second and third h basis vectors swapped
+    rows = triple.h_module_map
+    swapped = parse_triple_description(_with_hmodule_rows(
+        triple, lambda idx, values: [v.canonical() for v in rows[(0, 2, 1)[idx]]]))
+    with pytest.raises(ValueError, match="bracket of h 0 and h 1"):
+        verify_embedding(swapped, sl2_irrep(2))
+
+
+def test_parse_rejects_hmodule_rows_of_unequal_length_or_number(triple):
+    ragged = _with_hmodule_rows(
+        triple, lambda idx, values: values[:2] if idx == 2 else values)
+    with pytest.raises(ValueError, match="found 2 in line 'hmodule 2: "):
+        parse_triple_description(ragged)
+    lines = dump_triple_description(triple).splitlines()
+    missing = [line for line in lines if not line.startswith("hmodule 1")]
+    with pytest.raises(ValueError, match="one row per h basis"):
+        parse_triple_description("\n".join(missing))
+    with pytest.raises(TripleStructureError, match="one row per h basis"):
+        TransitiveTriple(triple.algebra, triple.sigma, triple.theta,
+                         triple.h_basis, triple.l_basis,
+                         h_module_map=triple.h_module_map[:2])
+
+
 MUTATIONS = st.lists(st.tuples(
     st.sampled_from(["delete", "duplicate", "truncate", "drop_value",
                      "add_value", "replace_value", "replace_word",
@@ -310,13 +358,38 @@ def test_parse_fuzzed_descriptions_raise_only_value_errors(triple, edits):
         pass
 
 
-def test_divisors_agree_with_trial_division():
-    for n in range(1, 501):
-        assert _divisors(n) == [d for d in range(1, n + 1) if n % d == 0]
-    assert _divisors(0) == [1]
-
-
 def test_rational_roots_of_a_large_constant_term():
-    # (x - 10^6)(x + 10^6) = x^2 - 10^12: about 10^6 trial divisions
-    roots = _rational_roots([coerce(-10 ** 12), ZERO, ONE])
+    # (x - 10^6)(x + 10^6) = x^2 - 10^12
+    roots = rational_roots([coerce(-10 ** 12), ZERO, ONE])
     assert sorted(r.a for r in roots) == [-10 ** 6, 10 ** 6]
+
+
+def test_rational_roots_search_is_polynomial_in_the_bit_size():
+    # (x - 10^20)(x + 10^20)(x - 1/3), so |c0| = 10^40 / 3
+    coeffs = [Fraction(10 ** 40, 3), -10 ** 40, Fraction(-1, 3), 1]
+    start = time.perf_counter()
+    roots = rational_roots([coerce(c) for c in coeffs])
+    assert time.perf_counter() - start < 0.5
+    assert sorted(r.a for r in roots) == [-10 ** 20, Fraction(1, 3), 10 ** 20]
+
+
+@given(st.lists(st.fractions(-40, 40, max_denominator=6), max_size=4),
+       st.none() | st.tuples(st.integers(-50, 50), st.integers(-50, 50)))
+@settings(max_examples=100)
+def test_rational_roots_are_the_roots_a_polynomial_was_built_from(roots, quadratic):
+    # prod (x - r), times x^2 + c x + d when that has no rational root
+    poly = [Fraction(1)]
+    factors = [[-r, 1] for r in roots]
+    if quadratic is not None:
+        c, d = quadratic
+        disc = c * c - 4 * d
+        if disc < 0 or math.isqrt(disc) ** 2 != disc:
+            factors.append([d, c, 1])
+    for factor in factors:
+        out = [Fraction(0)] * (len(poly) + len(factor) - 1)
+        for i, a in enumerate(poly):
+            for j, b in enumerate(factor):
+                out[i + j] += a * b
+        poly = out
+    found = rational_roots([coerce(c) for c in poly])
+    assert sorted(r.a for r in found) == sorted(set(roots))
