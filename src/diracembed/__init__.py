@@ -28,10 +28,9 @@ from .triple import (TransitiveTriple, TripleStructureError, solve_in_span,
 from .dirac import (FormalDiracElement, beta_action, geometric_dirac_element,
                     cubic_term, residual_term, assemble_rhs, transfer,
                     is_invariant_element, verify_embedding, algebraic_dirac)
-from .spectral import (SpectralError, TruncationArtifactError, CharacterLabel,
-                       PeterWeylBlock, make_block, block_eigenvalue,
-                       compact_generator_scalar, cubic_scalar,
-                       even_weight_cancellation,
+from .spectral import (SpectralError, CharacterLabel, PeterWeylBlock,
+                       make_block, block_eigenvalue, compact_generator_scalar,
+                       cubic_scalar, even_weight_cancellation,
                        grading_element, hs_slot_names, ql_slot_names,
                        hs_dirac_operator, finite_dirac_kernel,
                        matched_kernel_blocks, KernelLine, single_side,

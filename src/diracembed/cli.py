@@ -26,6 +26,7 @@ _TARGETS = {
 }
 
 MAX_TRUNCATION = 2000     # the kernel scans take time linear in it
+MAX_WEIGHT = 1000         # the scans and the checks grow with it
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -40,8 +41,9 @@ def _build_parser() -> argparse.ArgumentParser:
     verify.add_argument("target", choices=sorted(_TARGETS),
                         help="which suite to run")
     verify.add_argument("--weight", type=int, default=4,
-                        help="highest weight of the twisting module "
-                             "(default 4; odd values only for spectral)")
+                        help=f"highest weight of the twisting module, 0 to "
+                             f"{MAX_WEIGHT} (default 4; odd values only for "
+                             "spectral)")
     verify.add_argument("--truncation", type=int, default=40,
                         help="levels kept in truncated weight modules, "
                              f"2 to {MAX_TRUNCATION} (default 40)")
@@ -52,7 +54,8 @@ def _build_parser() -> argparse.ArgumentParser:
     table = sub.add_parser(
         "table64", help="print the kernel identification table rows as JSON")
     table.add_argument("--weight", type=int, required=True,
-                       help="even highest weight 2m of the twisting module")
+                       help="even highest weight 2m of the twisting "
+                            f"module, 0 to {MAX_WEIGHT}")
     table.add_argument("--out", help="write the rows to this file")
     return parser
 
@@ -69,8 +72,8 @@ def main(argv=None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
 
-    if args.weight < 0:
-        parser.error("--weight must be nonnegative")
+    if not 0 <= args.weight <= MAX_WEIGHT:
+        parser.error(f"--weight must be between 0 and {MAX_WEIGHT}")
 
     if args.command == "table64":
         if args.weight % 2 != 0:

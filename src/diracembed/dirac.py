@@ -14,8 +14,6 @@ action is gamma of the degree-two image of Y on the spinor factor plus the
 module action of Y on the twist.
 """
 
-from functools import cache
-
 from .scalars import ExactMatrix, coerce, ONE, SQRT2
 from .lie import vec_sub, vec_scale, vec_combination, vec_is_zero, unit_vector
 from .triple import solve_in_span
@@ -125,14 +123,6 @@ def beta_action(triple, module, y):
     return module.action(vec_combination(coords, rows, module.algebra.dim))
 
 
-@cache
-def _h_brackets(triple):
-    """(i, j, coordinates of [h_i, h_j] over the h basis) for i < j."""
-    h = triple.h_basis
-    return [(i, j, solve_in_span(h, triple.algebra.bracket(h[i], h[j])))
-            for i in range(len(h)) for j in range(i + 1, len(h))]
-
-
 def _module_map(triple, algebra):
     """The rows of the triple's h-module map, checked against the algebra
     its modules live over: each row has algebra.dim entries, and the map
@@ -145,7 +135,7 @@ def _module_map(triple, algebra):
         if len(row) != algebra.dim:
             raise ValueError(f"hmodule {idx} has {len(row)} entries, but "
                              f"the module's algebra has dimension {algebra.dim}")
-    for i, j, coords in _h_brackets(triple):
+    for i, j, coords in triple.h_brackets:
         if vec_combination(coords, rows, algebra.dim) != \
                 algebra.bracket(rows[i], rows[j]):
             raise ValueError(f"hmodule does not carry the bracket of "

@@ -172,20 +172,23 @@ def direct_sum(a: LieAlgebra, b: LieAlgebra, suffixes=("1", "2")) -> LieAlgebra:
 class WeightModule:
     """A module with a weight-graded basis and one exact matrix per generator.
 
-    kind is "finite", "lowest" or "highest"; for the truncated kinds the
-    bracket relations are certified on basis vectors v_0 .. v_{N-1} only
-    (the stored top level may violate them, which is inherent to cutting
-    an infinite module at a finite level).
+    kind is "finite", "lowest" or "highest".  The bracket relations hold on
+    the first `certified` basis vectors: all of them for a finite module,
+    v_0 .. v_{N-1} for the truncated kinds, whose stored top level may
+    violate them (inherent to cutting an infinite module at a finite
+    level).  Generator 0 grades the basis: it acts diagonally by the
+    stored weights.
     """
 
-    def __init__(self, algebra: LieAlgebra, weights, actions, kind: str = "finite",
-                 cartan_index=0):
+    def __init__(self, algebra: LieAlgebra, weights, actions, kind: str = "finite"):
+        if kind not in ("finite", "lowest", "highest"):
+            raise ValueError(f"unknown module kind {kind!r}")
         self.algebra = algebra
         self.weights = tuple(int(w) for w in weights)
         self.dim = len(self.weights)
         self.actions = tuple(actions)
         self.kind = kind
-        self.cartan_index = cartan_index
+        self.certified = self.dim if kind == "finite" else self.dim - 1
         self._verify()
 
     def _verify(self):
@@ -194,21 +197,19 @@ class WeightModule:
         for m in self.actions:
             if m.shape != (self.dim, self.dim):
                 raise ValueError("action matrix has wrong shape")
-        certified = self.dim if self.kind == "finite" else self.dim - 1
         n = self.algebra.dim
         for i in range(n):
             for j in range(i + 1, n):
                 lhs = self.actions[i] @ self.actions[j] - self.actions[j] @ self.actions[i]
                 rhs = self.action(self.algebra.brackets[i][j])
-                failing = [col for (_, col), _ in (lhs - rhs).items() if col < certified]
+                failing = [col for (_, col), _ in (lhs - rhs).items() if col < self.certified]
                 if failing:
                     raise ValueError(
                         f"bracket relation [{self.algebra.labels[i]},"
                         f"{self.algebra.labels[j]}] fails on basis vector {min(failing)}")
-        if self.cartan_index is not None:
-            if self.actions[self.cartan_index] != _diagonal(self.weights):
-                raise ValueError("grading generator is not diagonal "
-                                 "with the stored weights")
+        if self.actions[0] != _diagonal(self.weights):
+            raise ValueError("grading generator is not diagonal "
+                             "with the stored weights")
 
     def action(self, x: Vector) -> ExactMatrix:
         out = ExactMatrix.zeros(self.dim, self.dim)
@@ -217,14 +218,10 @@ class WeightModule:
                 out = out + self.actions[i] * xi
         return out
 
-    def weight_multiset(self):
-        return sorted(self.weights)
-
     def restricted(self, algebra: LieAlgebra, generator_images) -> "WeightModule":
         """Restrict along a map sending each generator of `algebra` to a vector here."""
         actions = [self.action(vec(img)) for img in generator_images]
-        return WeightModule(algebra, self.weights, actions, kind=self.kind,
-                            cartan_index=self.cartan_index)
+        return WeightModule(algebra, self.weights, actions, kind=self.kind)
 
 
 def _diagonal(weights) -> ExactMatrix:
@@ -232,13 +229,22 @@ def _diagonal(weights) -> ExactMatrix:
     return ExactMatrix.from_entries(n, n, {(r, r): w for r, w in enumerate(weights)})
 
 
-def _ladder_module(weights, raise_entries, lower_entries, kind: str) -> WeightModule:
-    """An sl2 module with h diagonal and e, f given by their nonzero entries."""
-    dim = len(weights)
+def _ladder_module(mu: int, n_levels: int, kind: str) -> WeightModule:
+    """The sl2 ladder v_0 .. v_N (N = n_levels) from weight mu: e climbs
+    freely for the lowest kind, f descends freely for the others (the
+    public builders state the actions)."""
+    dim = n_levels + 1
+    step = {(j + 1, j): 1 for j in range(dim - 1)}
+    if kind == "lowest":
+        weights = [mu + 2 * j for j in range(dim)]
+        e, f = step, {(j - 1, j): -j * (mu + j - 1) for j in range(1, dim)}
+    else:
+        weights = [mu - 2 * j for j in range(dim)]
+        e, f = {(j - 1, j): j * (mu - j + 1) for j in range(1, dim)}, step
     return WeightModule(sl2(), weights,
                         [_diagonal(weights),
-                         ExactMatrix.from_entries(dim, dim, raise_entries),
-                         ExactMatrix.from_entries(dim, dim, lower_entries)],
+                         ExactMatrix.from_entries(dim, dim, e),
+                         ExactMatrix.from_entries(dim, dim, f)],
                         kind=kind)
 
 
@@ -250,11 +256,7 @@ def sl2_irrep(n: int) -> WeightModule:
     """
     if n < 0:
         raise ValueError("highest weight must be nonnegative")
-    dim = n + 1
-    weights = [n - 2 * j for j in range(dim)]
-    e = {(j - 1, j): j * (n - j + 1) for j in range(1, dim)}  # e w_j = j(n-j+1) w_{j-1}
-    f = {(j + 1, j): 1 for j in range(dim - 1)}               # f w_j = w_{j+1}
-    return _ladder_module(weights, e, f, "finite")
+    return _ladder_module(n, n, "finite")
 
 
 def lowest_weight_module(mu: int, n_levels: int) -> WeightModule:
@@ -263,11 +265,7 @@ def lowest_weight_module(mu: int, n_levels: int) -> WeightModule:
     Basis v_0 .. v_N with h v_j = (mu + 2j) v_j, e v_j = v_{j+1} (and
     e v_N = 0, the truncation), f v_j = -j(mu + j - 1) v_{j-1}.
     """
-    dim = n_levels + 1
-    weights = [mu + 2 * j for j in range(dim)]
-    e = {(j + 1, j): 1 for j in range(dim - 1)}
-    f = {(j - 1, j): -j * (mu + j - 1) for j in range(1, dim)}
-    return _ladder_module(weights, e, f, "lowest")
+    return _ladder_module(mu, n_levels, "lowest")
 
 
 def highest_weight_module(mu: int, n_levels: int) -> WeightModule:
@@ -276,11 +274,7 @@ def highest_weight_module(mu: int, n_levels: int) -> WeightModule:
     Basis v_0 .. v_N with h v_j = (mu - 2j) v_j, f v_j = v_{j+1} (and
     f v_N = 0), e v_j = j(mu - j + 1) v_{j-1}.
     """
-    dim = n_levels + 1
-    weights = [mu - 2 * j for j in range(dim)]
-    e = {(j - 1, j): j * (mu - j + 1) for j in range(1, dim)}
-    f = {(j + 1, j): 1 for j in range(dim - 1)}
-    return _ladder_module(weights, e, f, "highest")
+    return _ladder_module(mu, n_levels, "highest")
 
 
 def dual_module(m: WeightModule) -> WeightModule:
@@ -293,7 +287,7 @@ def dual_module(m: WeightModule) -> WeightModule:
         raise ValueError("dual of a truncated module is not supported")
     actions = [-(a.transpose()) for a in m.actions]
     weights = [-w for w in m.weights]
-    return WeightModule(m.algebra, weights, actions, cartan_index=m.cartan_index)
+    return WeightModule(m.algebra, weights, actions)
 
 
 def tensor_action(m1: WeightModule, m2: WeightModule) -> WeightModule:
@@ -306,4 +300,4 @@ def tensor_action(m1: WeightModule, m2: WeightModule) -> WeightModule:
     i1 = ExactMatrix.identity(m1.dim)
     i2 = ExactMatrix.identity(m2.dim)
     actions = [a1.kron(i2) + i1.kron(a2) for a1, a2 in zip(m1.actions, m2.actions)]
-    return WeightModule(m1.algebra, weights, actions, cartan_index=m1.cartan_index)
+    return WeightModule(m1.algebra, weights, actions)

@@ -35,10 +35,6 @@ class SpectralError(ValueError):
     """A spectral bookkeeping invariant failed."""
 
 
-class TruncationArtifactError(SpectralError):
-    """A kernel computation would depend on uncertified truncated levels."""
-
-
 # -- character blocks ---------------------------------------------------------
 
 
@@ -342,9 +338,8 @@ def single_side():
     return g, pair, spin, names, weights
 
 
-@cache
 def scan_module(kind: str, param: int, n_levels: int) -> WeightModule:
-    """A cached member of the scan family over the rank-one algebra.
+    """The member of the scan family over the rank-one algebra, built anew.
 
     kind "finite" ignores n_levels, which its callers pass as 0;
     "lowest"/"highest" build truncated modules with the given parameter.
@@ -358,14 +353,12 @@ def scan_module(kind: str, param: int, n_levels: int) -> WeightModule:
     raise SpectralError(f"unknown module kind {kind!r}")
 
 
-def truncated_dirac_kernel(module: WeightModule, n_certified: int = None) -> list:
+def truncated_dirac_kernel(module: WeightModule) -> list:
     """Exact kernel lines of the rank-one Dirac operator on M (x) S.
 
-    For truncated module kinds the domain is restricted to the certified
-    levels 0..dim-2 while all image rows are kept, so every reported
-    line is a genuine kernel line of the untruncated module.  Passing
-    n_certified shrinks the window further; asking for more levels than
-    are certified raises TruncationArtifactError.
+    The domain is restricted to the module's certified levels while all
+    image rows are kept, so for the truncated kinds every reported line
+    is a genuine kernel line of the untruncated module.
 
     The operator, sum_k pi(x_k) (x) C_k from its rational spin-side
     symbol, keeps the torus weight, so each weight's columns and the rows
@@ -374,16 +367,9 @@ def truncated_dirac_kernel(module: WeightModule, n_certified: int = None) -> lis
     g, pair, spin, names, slot_w = single_side()
     if module.algebra != g:
         raise SpectralError("module does not live over the rank-one algebra")
-    certified = module.dim if module.kind == "finite" else module.dim - 1
-    if n_certified is None:
-        n_certified = certified
-    if n_certified > certified:
-        raise TruncationArtifactError(
-            f"window of {n_certified} levels exceeds the {certified} "
-            f"certified ones")
     symbol = algebraic_dirac(pair, lambda b: ExactMatrix([b]), spin)
-    window = range(n_certified)
-    op = ExactMatrix.zeros(module.dim * spin.dim, n_certified * spin.dim)
+    window = range(module.certified)
+    op = ExactMatrix.zeros(module.dim * spin.dim, module.certified * spin.dim)
     for k, action in enumerate(module.actions):
         c_k = symbol.select_columns(range(k * spin.dim, (k + 1) * spin.dim))
         if not c_k.is_zero():

@@ -12,6 +12,8 @@ orthonormalized bases of the pieces of l, the reductive pairs used by the
 Dirac constructions, and the spin modules over their complements.
 """
 
+from functools import cached_property
+
 from .scalars import (ExactMatrix, coerce, parse_scalar, rational_roots,
                       real_sqrt, ZERO, ONE, I, HALF, INV_SQRT2)
 from .lie import (LieAlgebra, vec_add, vec_sub, vec_scale, vec_combination,
@@ -344,6 +346,13 @@ class TransitiveTriple:
             out = vec_add(out, vec_scale(self.d[nu] * HALF,
                                          vec_add(component, mirrored)))
         return out
+
+    @cached_property
+    def h_brackets(self):
+        """(i, j, coordinates of [h_i, h_j] over the h basis) for i < j."""
+        h = self.h_basis
+        return [(i, j, solve_in_span(h, self.algebra.bracket(h[i], h[j])))
+                for i in range(len(h)) for j in range(i + 1, len(h))]
 
     def nu_of(self, x):
         """The sigma-weight of a vector lying in a single l(nu)."""

