@@ -34,8 +34,8 @@ from .spectral import (SpectralError, CharacterLabel, PeterWeylBlock,
                        grading_element, hs_slot_names, ql_slot_names,
                        hs_dirac_operator, finite_dirac_kernel,
                        matched_kernel_blocks, KernelLine, single_side,
-                       scan_module, truncated_dirac_kernel,
-                       highest_weight_scan, lowest_weight_scan, kernel_table)
+                       scan_module, truncated_dirac_kernel, scan_family,
+                       scan_hits, kernel_table)
 from .report import (CheckResult, run_suites, render_json, render_text,
                      has_failure, VERSION)
 

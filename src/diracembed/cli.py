@@ -74,19 +74,25 @@ def main(argv=None) -> int:
 
     if not 0 <= args.weight <= MAX_WEIGHT:
         parser.error(f"--weight must be between 0 and {MAX_WEIGHT}")
-
     if args.command == "table64":
         if args.weight % 2 != 0:
             parser.error("table64 needs an even --weight")
+    elif args.weight % 2 != 0 and args.target != "spectral":
+        parser.error(f"odd --weight is only accepted by verify spectral "
+                     f"(verify {args.target} needs an even weight)")
+    elif not 2 <= args.truncation <= MAX_TRUNCATION:
+        parser.error(f"--truncation must be between 2 and {MAX_TRUNCATION}")
+    # check --out before any work; append mode leaves an existing file intact
+    try:
+        if args.out:
+            open(args.out, "a", encoding="utf-8").close()
+    except OSError as exc:
+        parser.error(f"--out {args.out}: cannot write ({exc.strerror})")
+
+    if args.command == "table64":
         rows = spectral.kernel_table(build_sl2_triple(), args.weight // 2)
         _emit(json.dumps(rows, separators=(",", ":")) + "\n", args.out)
         return 0
-
-    if args.weight % 2 != 0 and args.target != "spectral":
-        parser.error(f"odd --weight is only accepted by verify spectral "
-                     f"(verify {args.target} needs an even weight)")
-    if not 2 <= args.truncation <= MAX_TRUNCATION:
-        parser.error(f"--truncation must be between 2 and {MAX_TRUNCATION}")
 
     results = report.run_suites(_TARGETS[args.target], weight=args.weight,
                                 truncation=args.truncation)

@@ -15,28 +15,28 @@ package relies on).
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from itertools import combinations
 
 from .lie import LieAlgebra, Vector, vec, vec_combination, vec_is_zero, vec_sub
 from .scalars import ExactScalar, ONE, ZERO, HALF, coerce
 
 
-@dataclass(frozen=True)
-class QuadraticSpace:
+class QuadraticSpace(namedtuple("QuadraticSpace", "labels signs")):
     """A space with ordered basis labels and a diagonal form diag(signs)."""
-    labels: tuple
-    signs: tuple
 
-    def __post_init__(self):
-        object.__setattr__(self, "labels", tuple(self.labels))
-        object.__setattr__(self, "signs", tuple(int(s) for s in self.signs))
-        if len(self.labels) != len(self.signs):
+    __slots__ = ()
+
+    def __new__(cls, labels, signs):
+        labels = tuple(labels)
+        signs = tuple(int(s) for s in signs)
+        if len(labels) != len(signs):
             raise ValueError("labels and signs must have equal length")
-        if any(s not in (1, -1) for s in self.signs):
+        if any(s not in (1, -1) for s in signs):
             raise ValueError("signs must be +1 or -1")
-        if len(set(self.labels)) != len(self.labels):
+        if len(set(labels)) != len(labels):
             raise ValueError("duplicate labels")
+        return super().__new__(cls, labels, signs)
 
     @property
     def dim(self) -> int:

@@ -6,8 +6,8 @@ per check; reruns of the same build yield byte-identical output.
 """
 
 import json
-from dataclasses import dataclass, asdict
 from fractions import Fraction
+from typing import NamedTuple
 
 from .scalars import ExactScalar, ExactMatrix, coerce, ZERO, HALF, INV_SQRT2
 from .lie import sl2_irrep
@@ -21,11 +21,8 @@ from . import spectral
 
 VERSION = "0.1.0"
 
-SUITE_NAMES = ("clifford", "spin", "triple", "theorem51", "spectral")
 
-
-@dataclass(frozen=True)
-class CheckResult:
+class CheckResult(NamedTuple):
     suite: str
     check: str
     status: str          # pass | fail | skipped
@@ -342,32 +339,31 @@ def spectral_suite(triple, weight: int, truncation: int = 40):
 
     try:
         blocks = spectral.matched_kernel_blocks(triple, m)
-        ok, detail = True, (
+        ok, blocks_detail = True, (
             "matched blocks "
             + str([(b.right.a, b.right.b, b.spin_ls) for b in blocks])
             + " pass the cancellation, kernel and residual guards")
     except spectral.SpectralError as exc:
-        ok, detail = False, str(exc)
+        blocks, ok, blocks_detail = None, False, str(exc)
     results.append(_check(
-        "spectral", "matched-blocks", ok, detail, detail,
+        "spectral", "matched-blocks", ok, blocks_detail, blocks_detail,
         "matched-block-reduction"))
 
-    hw = spectral.scan_lines("highest", -m - 2, truncation)
-    lw_param = 0 if m == 0 else m
-    lw = spectral.scan_lines("finite" if m == 0 else "lowest", lw_param,
-                             0 if m == 0 else truncation)
+    depth = spectral.scan_depth(m)
+    families = {kind: spectral.scan_family(kind, depth, truncation)
+                for kind in ("highest", "lowest")}
+    hw, lw = families["highest"][-m - 2], families["lowest"][m]
     hw_ok = [(l.total, l.slot) for l in hw] == [(-m - 1, "e")]
     lw_ok = any(l.total == m - 1 and l.slot == "1" for l in lw)
     results.append(_check(
         "spectral", "ds-kernels", hw_ok and lw_ok,
         f"highest weight {-m - 2} kernel at total {-m - 1} (plus line); "
-        f"lowest weight {lw_param} kernel meets total {m - 1} (minus line)",
+        f"lowest weight {m} kernel meets total {m - 1} (minus line)",
         f"kernel lines hw={hw} lw={lw}", "weight-module-kernels"))
 
-    depth = spectral.scan_depth(m)
-    hw_hits = spectral.highest_weight_scan(-m - 1, "e", depth, truncation)
-    lw_hits = spectral.lowest_weight_scan(m - 1, "1", depth, truncation)
-    ok = hw_hits == [-m - 2] and lw_hits == [lw_param]
+    hw_hits = spectral.scan_hits(families["highest"], -m - 1, "e")
+    lw_hits = spectral.scan_hits(families["lowest"], m - 1, "1")
+    ok = hw_hits == [-m - 2] and lw_hits == [m]
     results.append(_check(
         "spectral", "scan-uniqueness", ok,
         f"scans hit exactly one module each: highest {hw_hits}, "
@@ -375,12 +371,14 @@ def spectral_suite(triple, weight: int, truncation: int = 40):
         f"scan hits highest {hw_hits}, lowest {lw_hits}",
         "weight-module-kernels"))
 
-    try:
-        table = spectral.kernel_table(triple, m, n_levels=truncation)
-        want = _expected_table(m)
-        ok, detail = table == want, f"table rows {table}"
-    except spectral.SpectralError as exc:
-        ok, detail = False, str(exc)
+    # without the matched blocks the table fails with their message
+    ok, detail = False, blocks_detail
+    if blocks is not None:
+        try:
+            table = spectral.table_rows(blocks, families)
+            ok, detail = table == _expected_table(m), f"table rows {table}"
+        except spectral.SpectralError as exc:
+            detail = str(exc)
     results.append(_check(
         "spectral", "table-identification", ok, detail, detail,
         "kernel-identification-table"))
@@ -425,7 +423,7 @@ def has_failure(suite_results) -> bool:
 def render_json(suite_results) -> str:
     doc = {
         "version": VERSION,
-        "suites": [{"name": name, "checks": [asdict(c) for c in checks]}
+        "suites": [{"name": name, "checks": [c._asdict() for c in checks]}
                    for name, checks in suite_results],
     }
     return json.dumps(doc, indent=2) + "\n"

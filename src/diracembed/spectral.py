@@ -16,7 +16,6 @@ attached by position in a chosen polarization basis.
 """
 
 from collections import defaultdict
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache
 from typing import NamedTuple
@@ -50,8 +49,7 @@ class CharacterLabel(NamedTuple):
         return I * coerce(Fraction(self.a - self.b, 2))
 
 
-@dataclass(frozen=True)
-class PeterWeylBlock:
+class PeterWeylBlock(NamedTuple):
     """One character block of the decomposed section space.
 
     The right label carries (a, b); the left label is its negative.  The
@@ -396,43 +394,36 @@ def truncated_dirac_kernel(module: WeightModule) -> list:
 # -- parameter scans and the kernel table -------------------------------------
 
 
-@cache
-def scan_lines(kind: str, param: int, n_levels: int) -> list:
-    """The cached kernel lines of the scan family member scan_module names."""
-    return truncated_dirac_kernel(scan_module(kind, param, n_levels))
-
-
 def scan_depth(m: int) -> int:
     """How far the scans for twist parameter m reach: the table's hits sit
     at nu = -m-2 and mu = m."""
     return max(12, m + 2)
 
 
-def _hits(members, target_total: int, slot: str) -> list:
-    """The parameters of the (parameter, scan_lines key) members whose
-    kernel meets the target line."""
-    return [p for p, key in members
-            if any(l.total == target_total and l.slot == slot
-                   for l in scan_lines(*key))]
+def scan_family(kind: str, depth: int, n_levels: int) -> dict:
+    """Kernel lines of each member of a scan family, by parameter.
 
-
-def highest_weight_scan(target_total: int, slot: str,
-                        depth: int = 12, n_levels: int = 40) -> list:
-    """Parameters nu in {-1..-depth} whose kernel meets the target line."""
-    return _hits([(nu, ("highest", nu, n_levels))
-                  for nu in range(-1, -depth - 1, -1)], target_total, slot)
-
-
-def lowest_weight_scan(target_total: int, slot: str,
-                       depth: int = 12, n_levels: int = 40) -> list:
-    """Parameters mu in {0..depth} whose kernel meets the target line.
-
-    The mu = 0 member of the family is the one-dimensional module (the
-    honest irreducible quotient); mu >= 1 are the irreducible truncated
-    lowest weight modules.
+    "highest" covers nu = -1 .. -depth.  "lowest" covers mu = 0 .. depth:
+    the mu = 0 member is the one-dimensional module (the honest
+    irreducible quotient), and mu >= 1 are the irreducible truncated
+    lowest weight modules.  Each member is built, solved once and dropped.
     """
-    return _hits([(mu, ("lowest", mu, n_levels) if mu else ("finite", 0, 0))
-                  for mu in range(depth + 1)], target_total, slot)
+    if kind == "highest":
+        keys = {nu: ("highest", nu, n_levels)
+                for nu in range(-1, -depth - 1, -1)}
+    elif kind == "lowest":
+        keys = {mu: ("lowest", mu, n_levels) if mu else ("finite", 0, 0)
+                for mu in range(depth + 1)}
+    else:
+        raise SpectralError(f"unknown scan family {kind!r}")
+    return {p: truncated_dirac_kernel(scan_module(*key))
+            for p, key in keys.items()}
+
+
+def scan_hits(family: dict, total: int, slot: str) -> list:
+    """The parameters of the family members whose kernel meets the line."""
+    return [p for p, lines in family.items()
+            if any(l.total == total and l.slot == slot for l in lines)]
 
 
 def _dual_row(kind: str, param: int) -> list:
@@ -455,26 +446,32 @@ def _dual_row(kind: str, param: int) -> list:
     return ["DS-", -param]
 
 
-def kernel_table(triple, m: int, n_levels: int = 40) -> list:
+def table_rows(blocks, families: dict) -> list:
     """Rows [kind, parameter, "C", character] of the kernel identification.
 
-    Each matched block prescribes a torus weight (the first right-label
-    coordinate) and a spin line; the unique member of the corresponding
-    truncated family whose Dirac kernel meets that line names the first
-    factor, and the second right-label coordinate names the character.
-    """
-    depth = scan_depth(m)
+    Each matched block prescribes a torus weight (its first right-label
+    coordinate) and a spin line: "u" is read as "e" in families["highest"],
+    "1" in families["lowest"].  The unique family member whose kernel meets
+    that line names the first factor; the second coordinate names the
+    character."""
     rows = []
-    for blk in matched_kernel_blocks(triple, m):
+    for blk in blocks:
+        kind, slot = (("highest", "e") if blk.spin_ls == "u"
+                      else ("lowest", "1"))
         target = blk.right.a
-        if blk.spin_ls == "u":
-            hits = highest_weight_scan(target, "e", depth, n_levels)
-            kind = "highest"
-        else:
-            hits = lowest_weight_scan(target, "1", depth, n_levels)
-            kind = "lowest"
+        hits = scan_hits(families[kind], target, slot)
         if len(hits) != 1:
             raise SpectralError(
                 f"scan for total {target} found {len(hits)} members")
         rows.append(_dual_row(kind, hits[0]) + ["C", -blk.right.b])
     return rows
+
+
+def kernel_table(triple, m: int, n_levels: int = 40) -> list:
+    """The kernel identification table for a twist module of highest
+    weight 2m: table_rows of the matched blocks against both scan families,
+    scanned to scan_depth(m) with n_levels levels per member."""
+    blocks = matched_kernel_blocks(triple, m)
+    depth = scan_depth(m)
+    return table_rows(blocks, {kind: scan_family(kind, depth, n_levels)
+                               for kind in ("highest", "lowest")})

@@ -192,9 +192,6 @@ class SpinModule:
             return "1"
         return "^".join(f"u{j+1}" for j in subset)
 
-    def degree(self, subset) -> int:
-        return len(subset)
-
     def __eq__(self, other):
         return (isinstance(other, SpinModule)
                 and self.space == other.space and self.zeta == other.zeta

@@ -19,9 +19,9 @@ from diracembed import (CliffordElement, ExactMatrix, ExactScalar, I,
                         clifford_commutator, coerce, cubic_scalar,
                         even_weight_cancellation, finite_dirac_kernel,
                         geometric_dirac_element, graded_tensor_action,
-                        highest_weight_scan, hs_dirac_operator,
-                        inject_element, kernel_table, lowest_weight_scan,
+                        hs_dirac_operator, inject_element, kernel_table,
                         make_block, mult_iso, omega_rescaling_cases,
+                        scan_family, scan_hits,
                         sl2_irrep, transfer, truncated_dirac_kernel,
                         unit_vector, vec_add, vec_is_zero, vec_scale, vec_sub,
                         verify_embedding)
@@ -221,11 +221,12 @@ def test_criterion_10_fixed_side_kernels(triple):
 
 
 def test_criterion_11_truncated_kernels_and_scans():
-    # cold caches: the budget covers the real construction work
-    spectral.scan_lines.cache_clear()
+    # a cold cache: the budget covers the real construction work
     spectral.single_side.cache_clear()
     start = time.perf_counter()
     problems = []
+    highest = scan_family("highest", 12, 40)
+    lowest = scan_family("lowest", 12, 40)
     for m in range(6):
         hw = truncated_dirac_kernel(
             spectral.scan_module("highest", -m - 2, 40))
@@ -236,10 +237,10 @@ def test_criterion_11_truncated_kernels_and_scans():
         lw = truncated_dirac_kernel(lw_module)
         if (m - 1, "1") not in [(l.total, l.slot) for l in lw]:
             problems.append(f"lowest weight kernel misses m-1 at m={m}")
-        hits = highest_weight_scan(-m - 1, "e")
+        hits = scan_hits(highest, -m - 1, "e")
         if hits != [-m - 2]:
             problems.append(f"scan at m={m} found {hits}")
-        lhits = lowest_weight_scan(m - 1, "1")
+        lhits = scan_hits(lowest, m - 1, "1")
         if lhits != [0 if m == 0 else m]:
             problems.append(f"lowest scan at m={m} found {lhits}")
     _conclude(11, "truncated-kernels-and-scans", problems,

@@ -1,6 +1,9 @@
 """Command line wiring: exit codes, output formats, and the table subcommand."""
 
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -8,6 +11,7 @@ import pytest
 from diracembed import CheckResult
 from diracembed import cli
 from diracembed import report
+from diracembed import spectral
 
 PINNED_TABLE_WEIGHT_0 = '[["DS+",2,"C",-1],["Trivial",null,"C",-1]]\n'
 # the JSON report of every suite at the default weight and truncation
@@ -18,6 +22,12 @@ PINNED_SPECTRAL = {
     "verify_spectral_w10_t120.json": ["verify", "spectral", "--weight", "10",
                                       "--truncation", "120", "--format",
                                       "json"],
+    # m = 0 (the one-dimensional member), m = 1 (LDS-) and an odd weight
+    "verify_spectral_w0.json": ["verify", "spectral", "--weight", "0",
+                                "--format", "json"],
+    "verify_spectral_w2.json": ["verify", "spectral", "--weight", "2",
+                                "--format", "json"],
+    "verify_spectral_w3.txt": ["verify", "spectral", "--weight", "3"],
     **{f"table64_w{w}.json": ["table64", "--weight", str(w)]
        for w in (0, 2, 10, 22, 40)},
 }
@@ -184,3 +194,73 @@ def test_verify_all_covers_every_suite(capsys):
     for suite in ("clifford", "spin", "triple", "theorem51", "spectral"):
         assert f"{suite}/" in out
     assert "fail" not in out
+
+
+@pytest.mark.parametrize("command", [["verify", "clifford"],
+                                     ["table64", "--weight", "0"]])
+@pytest.mark.parametrize("where", ["directory", "missing parent"])
+def test_unwritable_out_is_a_usage_error(command, where, tmp_path,
+                                         monkeypatch, capsys):
+    target = tmp_path if where == "directory" else tmp_path / "no" / "r.txt"
+
+    def no_work(*args, **kwargs):
+        raise AssertionError("work started before --out was checked")
+    monkeypatch.setattr(report, "run_suites", no_work)
+    monkeypatch.setattr(spectral, "kernel_table", no_work)
+    with pytest.raises(SystemExit) as exc:
+        cli.main(command + ["--out", str(target)])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert "--out" in err and str(target) in err
+
+
+def _count_kernel_solves(monkeypatch):
+    """Record each truncated kernel solve by module, and each fixed-side
+    kernel solve by module dimension."""
+    solved, fixed = [], []
+    kernel, finite = spectral.truncated_dirac_kernel, spectral.finite_dirac_kernel
+
+    def counted_kernel(module):
+        solved.append((module.kind, module.weights[0], module.dim))
+        return kernel(module)
+
+    def counted_finite(triple, module):
+        fixed.append(module.dim)
+        return finite(triple, module)
+    monkeypatch.setattr(spectral, "truncated_dirac_kernel", counted_kernel)
+    monkeypatch.setattr(spectral, "finite_dirac_kernel", counted_finite)
+    return solved, fixed
+
+
+@pytest.mark.parametrize("command, fixed_side", [
+    (["verify", "spectral", "--weight", "10", "--truncation", "120"], 2),
+    (["table64", "--weight", "10"], 1)])
+def test_each_scan_member_is_solved_once_per_command(command, fixed_side,
+                                                     monkeypatch, capsys):
+    solved, fixed = _count_kernel_solves(monkeypatch)
+    assert cli.main(command) == 0
+    # depth 12: nu = -1..-12 and mu = 0..12
+    assert len(solved) == len(set(solved)) == 25
+    assert fixed == [11] * fixed_side
+
+
+def test_matched_block_failure_fails_the_table_and_spares_the_scans(
+        monkeypatch):
+    def broken(triple, m):
+        raise spectral.SpectralError(f"forced failure at m={m}")
+    monkeypatch.setattr(spectral, "matched_kernel_blocks", broken)
+    [(_, checks)] = report.run_suites(["spectral"], weight=4)
+    status = {c.check: (c.status, c.details) for c in checks}
+    for name in ("matched-blocks", "table-identification"):
+        assert status[name] == ("fail", "forced failure at m=2")
+    for name in ("ds-kernels", "scan-uniqueness"):
+        assert status[name][0] == "pass"
+
+
+def test_cli_import_leaves_dataclasses_out():
+    src = Path(cli.__file__).resolve().parents[1]
+    probe = "import sys, diracembed.cli; print('dataclasses' in sys.modules)"
+    done = subprocess.run([sys.executable, "-S", "-c", probe],
+                          env={**os.environ, "PYTHONPATH": str(src)},
+                          capture_output=True, text=True, check=True)
+    assert done.stdout == "False\n"

@@ -13,10 +13,10 @@ from diracembed import (CharacterLabel, ExactMatrix, ExactScalar, I,
                         compact_generator_scalar, cubic_scalar,
                         even_weight_cancellation, finite_dirac_kernel,
                         grading_element, highest_weight_module,
-                        highest_weight_scan, hs_dirac_operator, hs_slot_names,
-                        kernel_table, lowest_weight_module, lowest_weight_scan,
-                        make_block, matched_kernel_blocks, ql_slot_names,
-                        scan_module, single_side, sl2_irrep,
+                        hs_dirac_operator, hs_slot_names, kernel_table,
+                        lowest_weight_module, make_block,
+                        matched_kernel_blocks, ql_slot_names, scan_family,
+                        scan_hits, scan_module, single_side, sl2_irrep,
                         truncated_dirac_kernel, unit_vector, vec_add,
                         vec_is_zero, vec_scale, vec_sub)
 
@@ -257,17 +257,27 @@ def test_kernel_rejects_foreign_modules(triple):
 
 # -- scans and the dual table -------------------------------------------------------
 
+@pytest.fixture(scope="module")
+def families():
+    return {kind: scan_family(kind, 12, 40) for kind in ("highest", "lowest")}
+
+
 @pytest.mark.parametrize("m", [0, 1, 2, 3])
-def test_scans_identify_a_unique_family_member(m):
-    assert highest_weight_scan(-m - 1, "e") == [-m - 2]
+def test_scans_identify_a_unique_family_member(families, m):
+    assert scan_hits(families["highest"], -m - 1, "e") == [-m - 2]
     target = m - 1
     expected = 0 if m == 0 else m
-    assert lowest_weight_scan(target, "1") == [expected]
+    assert scan_hits(families["lowest"], target, "1") == [expected]
 
 
-def test_scan_misses_return_empty():
-    assert highest_weight_scan(0, "1") == []
-    assert lowest_weight_scan(-5, "e") == []
+def test_scan_misses_return_empty(families):
+    assert scan_hits(families["highest"], 0, "1") == []
+    assert scan_hits(families["lowest"], -5, "e") == []
+
+
+def test_scan_family_rejects_an_unknown_kind():
+    with pytest.raises(SpectralError, match="'middle'"):
+        scan_family("middle", 3, 10)
 
 
 def _expected_table(m):
