@@ -11,13 +11,11 @@ Everything is exact: no floating point numbers appear anywhere.
 
 from .scalars import (ExactScalar, ExactMatrix, coerce, parse_scalar,
                       real_sqrt, ZERO, ONE, I, SQRT2, INV_SQRT2, HALF)
-from .lie import (LieAlgebra, WeightModule, sl2, so2, direct_sum, sl2_irrep,
-                  lowest_weight_module, highest_weight_module, dual_module,
-                  tensor_action, vec, vec_add, vec_scale, vec_sub,
-                  vec_is_zero, unit_vector)
+from .lie import (LieAlgebra, WeightModule, sl2, direct_sum, sl2_irrep,
+                  lowest_weight_module, highest_weight_module, vec, vec_add,
+                  vec_scale, vec_sub, vec_is_zero, unit_vector)
 from .clifford import (QuadraticSpace, CliffordElement, ReductivePair,
-                       chevalley_j, clifford_commutator, inject_element,
-                       alpha_split_holds)
+                       clifford_commutator, inject_element, alpha_split_holds)
 from .spin import (Polarization, standard_polarization, SpinModule,
                    SpinVector, TensorSpinVector, graded_tensor_action,
                    combine_spin_modules, mult_iso)

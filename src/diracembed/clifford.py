@@ -112,16 +112,6 @@ class CliffordElement:
         return CliffordElement(self.space,
                                {m: c for m, c in self.terms.items() if len(m) % 2 == 1})
 
-    def parity(self) -> int:
-        """0 for even, 1 for odd; the zero element counts as even."""
-        parities = {len(m) % 2 for m in self.terms}
-        if len(parities) > 1:
-            raise ValueError("element has mixed parity")
-        return parities.pop() if parities else 0
-
-    def coefficient(self, indices) -> ExactScalar:
-        return self.terms.get(tuple(indices), ZERO)
-
     # -- arithmetic --------------------------------------------------------
 
     def _require_same_space(self, other: "CliffordElement"):
@@ -166,10 +156,6 @@ class CliffordElement:
             return NotImplemented
         return self.space == other.space and self.terms == other.terms
 
-    def __hash__(self):
-        return hash((self.space, tuple(sorted(self.terms.items(),
-                                              key=lambda kv: kv[0]))))
-
     def __str__(self):
         if not self.terms:
             return "0"
@@ -206,14 +192,6 @@ def _mul_monomials(space: QuadraticSpace, left: tuple, right: tuple):
         else:
             word.insert(pos, g)
     return coeff, tuple(word)
-
-
-def chevalley_j(x: CliffordElement, y: CliffordElement) -> CliffordElement:
-    """The Chevalley identification of the bivector x ^ y: (xy - yx)/2."""
-    for elt in (x, y):
-        if any(len(m) != 1 for m in elt.terms):
-            raise ValueError("chevalley_j expects degree-1 elements")
-    return (x * y - y * x).scaled(HALF)
 
 
 def clifford_commutator(a: CliffordElement, b: CliffordElement) -> CliffordElement:

@@ -147,11 +147,6 @@ def sl2() -> LieAlgebra:
     return LieAlgebra(("h", "e", "f"), brackets, form)
 
 
-def so2() -> LieAlgebra:
-    """The one-dimensional rotation subalgebra spanned by h, with <h,h> = 2."""
-    return LieAlgebra(("h",), [[(ZERO,)]], ExactMatrix([[2]]))
-
-
 def direct_sum(a: LieAlgebra, b: LieAlgebra, suffixes=("1", "2")) -> LieAlgebra:
     """Direct sum with componentwise brackets and orthogonal-sum form."""
     labels = tuple(l + suffixes[0] for l in a.labels) + tuple(l + suffixes[1] for l in b.labels)
@@ -218,11 +213,6 @@ class WeightModule:
                 out = out + self.actions[i] * xi
         return out
 
-    def restricted(self, algebra: LieAlgebra, generator_images) -> "WeightModule":
-        """Restrict along a map sending each generator of `algebra` to a vector here."""
-        actions = [self.action(vec(img)) for img in generator_images]
-        return WeightModule(algebra, self.weights, actions, kind=self.kind)
-
 
 def _diagonal(weights) -> ExactMatrix:
     n = len(weights)
@@ -275,29 +265,3 @@ def highest_weight_module(mu: int, n_levels: int) -> WeightModule:
     f v_N = 0), e v_j = j(mu - j + 1) v_{j-1}.
     """
     return _ladder_module(mu, n_levels, "highest")
-
-
-def dual_module(m: WeightModule) -> WeightModule:
-    """The dual action X . phi = -phi o pi(X), i.e. matrices -pi(X)^T.
-
-    The dual basis is graded by the negated weights, kept in the original
-    basis order (so the grading generator stays diagonal).
-    """
-    if m.kind != "finite":
-        raise ValueError("dual of a truncated module is not supported")
-    actions = [-(a.transpose()) for a in m.actions]
-    weights = [-w for w in m.weights]
-    return WeightModule(m.algebra, weights, actions)
-
-
-def tensor_action(m1: WeightModule, m2: WeightModule) -> WeightModule:
-    """Tensor product module: X acts by pi1(X) (x) 1 + 1 (x) pi2(X)."""
-    if m1.algebra != m2.algebra:
-        raise ValueError("tensor factors must be modules over the same algebra")
-    if m1.kind != "finite" or m2.kind != "finite":
-        raise ValueError("tensor of truncated modules is not supported")
-    weights = [w1 + w2 for w1 in m1.weights for w2 in m2.weights]
-    i1 = ExactMatrix.identity(m1.dim)
-    i2 = ExactMatrix.identity(m2.dim)
-    actions = [a1.kron(i2) + i1.kron(a2) for a1, a2 in zip(m1.actions, m2.actions)]
-    return WeightModule(m1.algebra, weights, actions)

@@ -136,11 +136,6 @@ class ExactScalar:
 
     __rmul__ = __mul__
 
-    def conjugate(self) -> "ExactScalar":
-        """Complex conjugation: i -> -i."""
-        a, b, c, d, den = self._parts
-        return _scalar((a, b, -c, -d, den))
-
     def inverse(self) -> "ExactScalar":
         a, b, c, d, den = self._parts
         if not (b or c or d):
@@ -165,21 +160,7 @@ class ExactScalar:
     def __rtruediv__(self, other):
         return coerce(other) * self.inverse()
 
-    def __pow__(self, n: int):
-        if not isinstance(n, int):
-            raise TypeError("exponent must be an integer")
-        if n < 0:
-            return self.inverse() ** (-n)
-        out = ONE
-        base = self
-        while n:
-            if n & 1:
-                out = out * base
-            base = base * base
-            n >>= 1
-        return out
-
-    # -- order structure (real elements only) ----------------------------
+    # -- sign of a real element -------------------------------------------
 
     def real_sign(self) -> int:
         """Sign (-1, 0, +1) of a real element (a + b*sqrt2)/den."""
@@ -195,18 +176,6 @@ class ExactScalar:
         # mixed signs: compare p^2 with 2 q^2
         big_p = p * p > 2 * q * q
         return (1 if big_p else -1) if p > 0 else (-1 if big_p else 1)
-
-    def __lt__(self, other):
-        return (self - coerce(other)).real_sign() < 0
-
-    def __le__(self, other):
-        return (self - coerce(other)).real_sign() <= 0
-
-    def __gt__(self, other):
-        return (self - coerce(other)).real_sign() > 0
-
-    def __ge__(self, other):
-        return (self - coerce(other)).real_sign() >= 0
 
     # -- equality and rendering ------------------------------------------
 
@@ -469,10 +438,6 @@ class ExactMatrix:
         return cls._wrap([{i: ONE} for i in range(n)], n)
 
     @classmethod
-    def column(cls, entries) -> "ExactMatrix":
-        return cls([[x] for x in entries])
-
-    @classmethod
     def from_columns(cls, columns, nrows: int) -> "ExactMatrix":
         """The nrows x len(columns) matrix whose j-th column is columns[j]."""
         rows = [{} for _ in range(nrows)]
@@ -519,9 +484,6 @@ class ExactMatrix:
         if not isinstance(other, ExactMatrix):
             return NotImplemented
         return self._ncols == other._ncols and self._rows == other._rows
-
-    def __hash__(self):
-        return hash((self._ncols, tuple(frozenset(r.items()) for r in self._rows)))
 
     def __add__(self, other):
         if self.shape != other.shape:

@@ -103,20 +103,15 @@ class SpinModule:
     """The exterior algebra on the plus part, with its Clifford action.
 
     Basis: subsets of plus indices, ordered by (size, lexicographic).
-    zeta = +-1 picks the sign of the odd generator's scalar action on the
-    even part (the default +1 makes a unit-negative-norm odd generator act
-    by +i/sqrt2 there).
+    The odd generator, if any, acts on the even part by 1/sqrt2, or by
+    i/sqrt2 when its norm is negative, and by the negative on the odd part.
     """
 
-    def __init__(self, space: QuadraticSpace, polarization: Polarization = None,
-                 zeta: int = 1):
+    def __init__(self, space: QuadraticSpace, polarization: Polarization = None):
         self.space = space
         self.polarization = polarization or standard_polarization(space)
         if self.polarization.space != space:
             raise ValueError("polarization belongs to a different space")
-        if zeta not in (1, -1):
-            raise ValueError("zeta must be +1 or -1")
-        self.zeta = zeta
         n_iso = len(self.polarization.plus)
         self.basis = sorted((tuple(c) for k in range(n_iso + 1)
                              for c in combinations(range(n_iso), k)),
@@ -164,8 +159,7 @@ class SpinModule:
         return ExactMatrix.from_entries(self.dim, self.dim, entries)
 
     def _odd_matrix(self) -> ExactMatrix:
-        s = ONE if self.polarization.odd_norm_sign == 1 else I
-        base = coerce(self.zeta) * s * INV_SQRT2
+        base = INV_SQRT2 if self.polarization.odd_norm_sign == 1 else I * INV_SQRT2
         return ExactMatrix.from_entries(self.dim, self.dim, {
             (col, col): base if len(subset) % 2 == 0 else -base
             for col, subset in enumerate(self.basis)})
@@ -194,7 +188,7 @@ class SpinModule:
 
     def __eq__(self, other):
         return (isinstance(other, SpinModule)
-                and self.space == other.space and self.zeta == other.zeta
+                and self.space == other.space
                 and self.polarization.plus == other.polarization.plus
                 and self.polarization.minus == other.polarization.minus
                 and self.polarization.odd == other.polarization.odd)
@@ -223,7 +217,8 @@ class SpinVector:
         return cls(module, {tuple(subset): ONE})
 
     def to_column(self) -> ExactMatrix:
-        return ExactMatrix.column([self.terms.get(b, ZERO) for b in self.module.basis])
+        return ExactMatrix.from_columns(
+            [[self.terms.get(b, ZERO) for b in self.module.basis]], self.module.dim)
 
     @classmethod
     def from_column(cls, module: SpinModule, col: ExactMatrix) -> "SpinVector":
@@ -383,12 +378,10 @@ def combine_spin_modules(module_a: SpinModule, module_b: SpinModule,
     minus = ([relocate(module_a.space, v) for v in module_a.polarization.minus]
              + [relocate(module_b.space, v) for v in module_b.polarization.minus])
     odd = None
-    zeta = module_a.zeta
     if module_b.polarization.odd is not None:
         odd = relocate(module_b.space, module_b.polarization.odd)
-        zeta = module_b.zeta
     pol = Polarization(target_space, plus, minus, odd)
-    return SpinModule(target_space, pol, zeta=zeta)
+    return SpinModule(target_space, pol)
 
 
 def mult_iso(v: TensorSpinVector, joint: SpinModule) -> SpinVector:

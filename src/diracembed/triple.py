@@ -134,13 +134,12 @@ class TransitiveTriple:
 
         self.k_basis = [m.col(0) for m in (theta - ident).nullspace()]
         self.s_basis = [m.col(0) for m in (theta + ident).nullspace()]
-        self.q_sigma_basis = [m.col(0) for m in (sigma + ident).nullspace()]
 
         self.nu_spaces = self._nu_decompose()
         self.d = {nu: self._weight_factor(nu) for nu, _ in self.nu_spaces
                   if nu != ONE}
-        self._eigenbasis = [v for _, basis in self.nu_spaces for v in basis]
-        self._eigen_nus = [nu for nu, basis in self.nu_spaces for _ in basis]
+        self.eigenbasis = [v for _, basis in self.nu_spaces for v in basis]
+        self.eigen_nus = [nu for nu, basis in self.nu_spaces for _ in basis]
 
         self.l_h_basis = next((list(basis) for nu, basis in self.nu_spaces
                                if nu == ONE), [])
@@ -206,7 +205,7 @@ class TransitiveTriple:
     # -- construction helpers -------------------------------------------
 
     def _apply(self, matrix, v):
-        return (matrix @ ExactMatrix.column(v)).col(0)
+        return (matrix @ ExactMatrix.from_columns([v], len(v))).col(0)
 
     def _check_isometry(self, matrix, name):
         g = self.algebra
@@ -251,16 +250,10 @@ class TransitiveTriple:
         if b.rank() != m:
             raise TripleStructureError("the form is degenerate on l")
         operator = b.inverse() @ a
-        candidates = [ONE, -ONE, ZERO]
-        for root in rational_roots(operator.char_poly()):
-            if root not in candidates:
-                candidates.append(root)
         spaces = []
         total = 0
-        for nu in candidates:
+        for nu in rational_roots(operator.char_poly()):
             null_cols = (operator - nu * ExactMatrix.identity(m)).nullspace()
-            if not null_cols:
-                continue
             basis = tuple(vec_combination(col.col(0), self.l_basis, g.dim)
                           for col in null_cols)
             spaces.append((nu, basis))
@@ -311,11 +304,11 @@ class TransitiveTriple:
     def _eigen_parts(self, x):
         """The nonzero terms c * v of x over the sigma-eigenbasis of l, as
         (c, nu, v) with v in l(nu); raises if x lies outside l."""
-        coords = solve_in_span(self._eigenbasis, tuple(coerce(c) for c in x))
+        coords = solve_in_span(self.eigenbasis, tuple(coerce(c) for c in x))
         if coords is None:
             raise TripleStructureError("vector lies outside l")
         return [(c, nu, v) for c, nu, v in
-                zip(coords, self._eigen_nus, self._eigenbasis) if not c.is_zero()]
+                zip(coords, self.eigen_nus, self.eigenbasis) if not c.is_zero()]
 
     # -- public operations ----------------------------------------------
 
@@ -422,7 +415,7 @@ def omega_rescaling_cases(triple):
     evaluated over every ordered triple from the stored eigenbasis.
     Returns a list of (left side, right side) scalar pairs.
     """
-    eig = [(v, nu) for v, nu in zip(triple._eigenbasis, triple._eigen_nus)
+    eig = [(v, nu) for v, nu in zip(triple.eigenbasis, triple.eigen_nus)
            if nu != ONE]
     quarter = HALF * HALF
     cases = []

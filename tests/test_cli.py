@@ -1,5 +1,6 @@
 """Command line wiring: exit codes, output formats, and the table subcommand."""
 
+import ast
 import json
 import os
 import subprocess
@@ -264,3 +265,34 @@ def test_cli_import_leaves_dataclasses_out():
                           env={**os.environ, "PYTHONPATH": str(src)},
                           capture_output=True, text=True, check=True)
     assert done.stdout == "False\n"
+
+
+# Public names with no caller yet: the triple description format, which a
+# command line option for user-supplied triples is to read.
+UNCALLED_PUBLIC_NAMES = {"dump_triple_description", "load_triple"}
+
+
+def test_every_public_name_has_a_caller_outside_the_unit_tests():
+    """Each public function, class and method of the package is used by the
+    package itself, the benchmark or the acceptance criteria."""
+    root = Path(__file__).resolve().parents[1]
+    package = sorted((root / "src" / "diracembed").glob("*.py"))
+    defs = []
+    for path in package:
+        for node in ast.parse(path.read_text()).body:
+            if isinstance(node, ast.ClassDef):
+                defs += [node] + [m for m in node.body if isinstance(m, ast.FunctionDef)]
+            elif isinstance(node, ast.FunctionDef):
+                defs.append(node)
+    public = {d.name for d in defs if not d.name.startswith("_")}
+    callers = [p for p in package if p.name != "__init__.py"]
+    callers += sorted((root / "perfbench").glob("*.py"))
+    callers.append(root / "tests" / "test_acceptance.py")
+    used = set()
+    for path in callers:
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Name):
+                used.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                used.add(node.attr)
+    assert sorted(public - used - UNCALLED_PUBLIC_NAMES) == []

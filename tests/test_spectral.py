@@ -8,8 +8,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from diracembed import (CharacterLabel, ExactMatrix, ExactScalar, I,
-                        INV_SQRT2, KernelLine, ONE, SpectralError, SpinModule,
-                        ZERO, algebraic_dirac, beta_action, block_eigenvalue, build_sl2_triple, coerce,
+                        INV_SQRT2, KernelLine, LieAlgebra, ONE, SpectralError,
+                        SpinModule, WeightModule, ZERO, algebraic_dirac, beta_action, block_eigenvalue, build_sl2_triple, coerce,
                         compact_generator_scalar, cubic_scalar,
                         even_weight_cancellation, finite_dirac_kernel,
                         grading_element, highest_weight_module,
@@ -249,8 +249,8 @@ def test_kernel_agrees_with_the_whole_operator_nullspace(kind, param,
 
 
 def test_kernel_rejects_foreign_modules(triple):
-    from diracembed import so2
-    module = sl2_irrep(2).restricted(so2(), [unit_vector(3, 0)])
+    module = WeightModule(LieAlgebra(("h",), [[(ZERO,)]], ExactMatrix([[2]])),
+                          [2, 0, -2], [sl2_irrep(2).actions[0]])
     with pytest.raises(SpectralError):
         truncated_dirac_kernel(module)
 

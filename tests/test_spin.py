@@ -114,8 +114,6 @@ def test_slice_degree_two_action_is_diagonal():
 def test_odd_generator_acts_by_a_parity_scalar():
     neg = SpinModule(ODD_SPACE)
     assert neg.gamma_generator(0) == ExactMatrix([[I * INV_SQRT2]])
-    assert SpinModule(ODD_SPACE, zeta=-1).gamma_generator(0) == \
-        ExactMatrix([[-I * INV_SQRT2]])
     pos = SpinModule(QuadraticSpace(("Z",), (1,)))
     assert pos.gamma_generator(0) == ExactMatrix([[INV_SQRT2]])
 

@@ -128,7 +128,7 @@ def test_alpha_is_a_lie_homomorphism(triple):
 def test_cubic_element_of_the_slice_pair(triple):
     cubic = triple.pair_l_lh.cubic_element()
     assert str(cubic) == "-1*Z*T1*T2"
-    assert cubic.coefficient((0, 1, 2)) == -ONE
+    assert cubic.terms == {(0, 1, 2): -ONE}
     assert triple.pair_g_h.cubic_element().is_zero()
 
 
