@@ -17,8 +17,7 @@ from .lie import (LieAlgebra, WeightModule, sl2, direct_sum, sl2_irrep,
 from .clifford import (QuadraticSpace, CliffordElement, ReductivePair,
                        clifford_commutator, inject_element, alpha_split_holds)
 from .spin import (Polarization, standard_polarization, SpinModule,
-                   SpinVector, TensorSpinVector, graded_tensor_action,
-                   combine_spin_modules, mult_iso)
+                   graded_tensor_action, combine_spin_modules, mult_iso)
 from .triple import (TransitiveTriple, TripleStructureError, solve_in_span,
                      build_sl2_triple, omega_value, omega_rescaling_cases,
                      dump_triple_description, parse_triple_description,

@@ -8,6 +8,8 @@ module object is itself a certificate that its action is consistent.
 """
 from __future__ import annotations
 
+from functools import cache
+
 from .scalars import ExactMatrix, ExactScalar, ONE, ZERO, coerce
 
 Vector = tuple  # coordinate vector over an algebra's basis
@@ -123,6 +125,8 @@ class LieAlgebra:
         return unit_vector(self.dim, self.index_of(label))
 
     def __eq__(self, other):
+        if self is other:
+            return True
         return (isinstance(other, LieAlgebra) and self.labels == other.labels
                 and self.brackets == other.brackets and self.form == other.form)
 
@@ -130,8 +134,10 @@ class LieAlgebra:
         return f"LieAlgebra({', '.join(self.labels)})"
 
 
+@cache
 def sl2() -> LieAlgebra:
-    """sl(2) in the basis (h, e, f) with the 2x2 trace form.
+    """sl(2) in the basis (h, e, f) with the 2x2 trace form, built and
+    verified once.
 
     [h,e] = 2e, [h,f] = -2f, [e,f] = h; the trace form has <h,h> = 2,
     <e,f> = 1 and all other basis pairings zero.

@@ -13,8 +13,7 @@ from .scalars import ExactScalar, ExactMatrix, coerce, ZERO, HALF, INV_SQRT2
 from .lie import sl2_irrep
 from .clifford import (QuadraticSpace, CliffordElement, clifford_commutator,
                        inject_element, alpha_split_holds)
-from .spin import (TensorSpinVector, graded_tensor_action,
-                   combine_spin_modules, mult_iso)
+from .spin import graded_tensor_action, combine_spin_modules, mult_iso
 from .triple import build_sl2_triple, omega_rescaling_cases
 from .dirac import verify_embedding
 from . import spectral
@@ -136,6 +135,7 @@ def spin_suite(triple):
 
     joint = combine_spin_modules(triple.spin_ls, triple.spin_qlp,
                                  triple.space_ql)
+    iso = mult_iso(triple.spin_ls, triple.spin_qlp, joint)
     c_elts = [CliffordElement.unit(triple.space_qlp),
               CliffordElement.generator(triple.space_qlp, 0)]
     d_elts = [CliffordElement.unit(triple.space_ls)] + [
@@ -143,26 +143,25 @@ def spin_suite(triple):
         for i in range(triple.space_ls.dim)]
     bad = 0
     total = 0
+    failing = []
     for c in c_elts:
         c_joint = inject_element(c, triple.space_ql)
         for d in d_elts:
             d_joint = inject_element(d, triple.space_ql)
-            prod = joint.gamma(d_joint * c_joint)
-            for sa in triple.spin_ls.basis:
-                for sb in triple.spin_qlp.basis:
-                    v = TensorSpinVector.basis(triple.spin_ls,
-                                               triple.spin_qlp, sa, sb)
-                    moved = graded_tensor_action(d, c, v)
-                    lhs = mult_iso(moved, joint).to_column()
-                    rhs = prod @ mult_iso(v, joint).to_column()
-                    total += 1
-                    if lhs != rhs:
-                        bad += 1
+            moved = iso @ graded_tensor_action(d, c, triple.spin_ls,
+                                               triple.spin_qlp)
+            diff = moved - joint.gamma(d_joint * c_joint) @ iso
+            cases = {col for (_, col), _ in diff.items()}
+            total += iso.ncols
+            bad += len(cases)
+            if cases:
+                failing.append(f"{d} (x) {c}")
     results.append(_check(
         "spin", "tensor-intertwiner", bad == 0,
         f"exterior multiplication intertwines the graded tensor action "
         f"({total} cases)",
-        f"{bad} of {total} intertwining cases fail",
+        f"{bad} of {total} intertwining cases fail, at the element pairs "
+        f"{failing}",
         "spin-module-factorization"))
 
     sizes = (triple.spin_ls.dim * triple.spin_qlp.dim, joint.dim,
@@ -297,7 +296,8 @@ def spectral_suite(triple, weight: int, truncation: int = 40):
         "spectral", "block-eigenvalues", not bad,
         "compact slice eigenvalue equals (a-b)/(2*sqrt2) on all 441 blocks "
         "with |a|,|b| <= 10",
-        f"eigenvalue mismatch at {bad[:5]}", "block-eigenvalue-formula"))
+        f"eigenvalue mismatch on {len(bad)} blocks, first {bad[:5]}",
+        "block-eigenvalue-formula"))
 
     cub = spectral.cubic_scalar(triple)
     results.append(_check(
@@ -361,14 +361,19 @@ def spectral_suite(triple, weight: int, truncation: int = 40):
         f"lowest weight {m} kernel meets total {m - 1} (minus line)",
         f"kernel lines hw={hw} lw={lw}", "weight-module-kernels"))
 
-    hw_hits = spectral.scan_hits(families["highest"], -m - 1, "e")
-    lw_hits = spectral.scan_hits(families["lowest"], m - 1, "1")
-    ok = hw_hits == [-m - 2] and lw_hits == [m]
+    targets = {"highest": (-m - 1, "e"), "lowest": (m - 1, "1")}
+    hits = {kind: spectral.scan_hits(families[kind], *targets[kind])
+            for kind in targets}
+    met = {kind: {p: [tuple(l) for l in families[kind][p]
+                      if (l.total, l.slot) == targets[kind]]
+                  for p in hits[kind]} for kind in targets}
+    ok = hits["highest"] == [-m - 2] and hits["lowest"] == [m]
     results.append(_check(
         "spectral", "scan-uniqueness", ok,
-        f"scans hit exactly one module each: highest {hw_hits}, "
-        f"lowest {lw_hits}",
-        f"scan hits highest {hw_hits}, lowest {lw_hits}",
+        f"scans hit exactly one module each: highest {hits['highest']}, "
+        f"lowest {hits['lowest']}",
+        f"scan hits, each with the lines (total, slot, level) it met: "
+        f"highest {met['highest']}, lowest {met['lowest']}",
         "weight-module-kernels"))
 
     # without the matched blocks the table fails with their message

@@ -189,8 +189,7 @@ def _slot_names(spin: SpinModule, alpha_elt: CliffordElement,
 def hs_slot_names(triple) -> dict:
     """Names ("e"/"1") of the fixed-side spin lines, by computed weight."""
     x = grading_element(triple)
-    spin = SpinModule(triple.pair_h_hk.space)
-    return _slot_names(spin, triple.pair_h_hk.alpha(x), "e")
+    return _slot_names(triple.spin_hs, triple.pair_h_hk.alpha(x), "e")
 
 
 def ql_slot_names(triple) -> dict:
@@ -213,7 +212,7 @@ def hs_dirac_operator(triple, module: WeightModule,
     resulting matrix is presentation independent.
     """
     pair = triple.pair_h_hk
-    spin = SpinModule(pair.space)
+    spin = triple.spin_hs
     if vectors is None:
         return algebraic_dirac(pair, lambda b: beta_action(triple, module, b),
                                spin)
@@ -241,7 +240,7 @@ def finite_dirac_kernel(triple, module: WeightModule) -> list:
     line must be pure in both factors.
     """
     op = hs_dirac_operator(triple, module)
-    spin_dim = SpinModule(triple.pair_h_hk.space).dim
+    spin_dim = triple.spin_hs.dim
     names = hs_slot_names(triple)
     lines = []
     for v in op.nullspace():

@@ -181,168 +181,25 @@ class SpinModule:
             out = out + m * coeff
         return out
 
-    def basis_label(self, subset) -> str:
-        if not subset:
-            return "1"
-        return "^".join(f"u{j+1}" for j in subset)
-
-    def __eq__(self, other):
-        return (isinstance(other, SpinModule)
-                and self.space == other.space
-                and self.polarization.plus == other.polarization.plus
-                and self.polarization.minus == other.polarization.minus
-                and self.polarization.odd == other.polarization.odd)
-
     def __repr__(self):
         return f"SpinModule(dim={self.dim}, space={self.space.labels})"
 
 
-class SpinVector:
-    """A vector in a spin module: a finite sum of basis monomials."""
-
-    def __init__(self, module: SpinModule, terms=None):
-        self.module = module
-        clean = {}
-        for subset, coeff in (terms or {}).items():
-            subset = tuple(subset)
-            if subset not in module.index:
-                raise ValueError(f"unknown basis subset {subset}")
-            coeff = coerce(coeff)
-            if not coeff.is_zero():
-                clean[subset] = coeff
-        self.terms = clean
-
-    @classmethod
-    def basis(cls, module: SpinModule, subset) -> "SpinVector":
-        return cls(module, {tuple(subset): ONE})
-
-    def to_column(self) -> ExactMatrix:
-        return ExactMatrix.from_columns(
-            [[self.terms.get(b, ZERO) for b in self.module.basis]], self.module.dim)
-
-    @classmethod
-    def from_column(cls, module: SpinModule, col: ExactMatrix) -> "SpinVector":
-        return cls(module, {b: col[k, 0] for k, b in enumerate(module.basis)})
-
-    def apply(self, elt: CliffordElement) -> "SpinVector":
-        return SpinVector.from_column(self.module,
-                                      self.module.gamma(elt) @ self.to_column())
-
-    def __add__(self, other):
-        if self.module is not other.module and self.module != other.module:
-            raise ValueError("vectors live in different spin modules")
-        terms = dict(self.terms)
-        for b, c in other.terms.items():
-            terms[b] = terms.get(b, ZERO) + c
-        return SpinVector(self.module, terms)
-
-    def scaled(self, s) -> "SpinVector":
-        s = coerce(s)
-        return SpinVector(self.module, {b: c * s for b, c in self.terms.items()})
-
-    def is_zero(self) -> bool:
-        return not self.terms
-
-    def __eq__(self, other):
-        return (isinstance(other, SpinVector) and self.module == other.module
-                and self.terms == other.terms)
-
-    def __str__(self):
-        if not self.terms:
-            return "0"
-        bits = []
-        for b in sorted(self.terms, key=lambda t: (len(t), t)):
-            c = str(self.terms[b])
-            if " " in c:
-                c = f"({c})"
-            bits.append(f"{c}*{self.module.basis_label(b)}")
-        return " + ".join(bits).replace("+ -", "- ")
-
-
-class TensorSpinVector:
-    """A vector in the tensor product of two spin modules."""
-
-    def __init__(self, module_a: SpinModule, module_b: SpinModule, terms=None):
-        self.module_a = module_a
-        self.module_b = module_b
-        clean = {}
-        for (sa, sb), coeff in (terms or {}).items():
-            sa, sb = tuple(sa), tuple(sb)
-            if sa not in module_a.index or sb not in module_b.index:
-                raise ValueError(f"unknown basis pair ({sa}, {sb})")
-            coeff = coerce(coeff)
-            if not coeff.is_zero():
-                clean[(sa, sb)] = coeff
-        self.terms = clean
-
-    @classmethod
-    def basis(cls, module_a, module_b, sa, sb) -> "TensorSpinVector":
-        return cls(module_a, module_b, {(tuple(sa), tuple(sb)): ONE})
-
-    def __add__(self, other):
-        terms = dict(self.terms)
-        for k, c in other.terms.items():
-            terms[k] = terms.get(k, ZERO) + c
-        return TensorSpinVector(self.module_a, self.module_b, terms)
-
-    def scaled(self, s):
-        s = coerce(s)
-        return TensorSpinVector(self.module_a, self.module_b,
-                                {k: c * s for k, c in self.terms.items()})
-
-    def is_zero(self) -> bool:
-        return not self.terms
-
-    def __eq__(self, other):
-        return (isinstance(other, TensorSpinVector)
-                and self.module_a == other.module_a
-                and self.module_b == other.module_b
-                and self.terms == other.terms)
-
-    def __str__(self):
-        if not self.terms:
-            return "0"
-        bits = []
-        for (sa, sb) in sorted(self.terms, key=lambda t: (len(t[0]), t[0], len(t[1]), t[1])):
-            c = str(self.terms[(sa, sb)])
-            if " " in c:
-                c = f"({c})"
-            bits.append(f"{c}*{self.module_a.basis_label(sa)}(x)"
-                        f"{self.module_b.basis_label(sb)}")
-        return " + ".join(bits).replace("+ -", "- ")
-
-
 def graded_tensor_action(c: CliffordElement, d: CliffordElement,
-                         v: TensorSpinVector) -> TensorSpinVector:
-    """Apply c (x) d to a tensor vector with the Koszul sign.
+                         module_a: SpinModule, module_b: SpinModule) -> ExactMatrix:
+    """The matrix of c (x) d on S_A (x) S_B, basis pairs in kron order.
 
-    (c (x) d) . (s (x) t) = (-1)^{deg d * deg s} (c.s) (x) (d.t) for
-    homogeneous d and s; inhomogeneous inputs are split by parity.
+    (c (x) d)(s (x) t) = (-1)^{deg d * deg s} (c.s) (x) (d.t) for
+    homogeneous d and s, so the odd part of d carries the exterior-degree
+    parity P_A of the first factor (the Koszul sign):
+    gamma_A(c) (x) gamma_B(d_even) + gamma_A(c) P_A (x) gamma_B(d_odd).
     """
-    ma, mb = v.module_a, v.module_b
-    out = TensorSpinVector(ma, mb)
-    for d_par in (0, 1):
-        d_part = d.even_part() if d_par == 0 else d.odd_part()
-        if d_part.is_zero():
-            continue
-        mc = ma.gamma(c)
-        md = mb.gamma(d_part)
-        terms = {}
-        for (sa, sb), coeff in v.terms.items():
-            sign = -ONE if (d_par * len(sa)) % 2 else ONE
-            col_a = mc.col(ma.index[sa])
-            col_b = md.col(mb.index[sb])
-            for ia, xa in enumerate(col_a):
-                if xa.is_zero():
-                    continue
-                for ib, xb in enumerate(col_b):
-                    if xb.is_zero():
-                        continue
-                    key = (ma.basis[ia], mb.basis[ib])
-                    acc = terms.get(key, ZERO) + sign * coeff * xa * xb
-                    terms[key] = acc
-        out = out + TensorSpinVector(ma, mb, terms)
-    return out
+    gamma_c = module_a.gamma(c)
+    parity = ExactMatrix.from_entries(module_a.dim, module_a.dim, {
+        (k, k): -ONE if len(subset) % 2 else ONE
+        for k, subset in enumerate(module_a.basis)})
+    return (gamma_c.kron(module_b.gamma(d.even_part()))
+            + (gamma_c @ parity).kron(module_b.gamma(d.odd_part())))
 
 
 def combine_spin_modules(module_a: SpinModule, module_b: SpinModule,
@@ -384,16 +241,17 @@ def combine_spin_modules(module_a: SpinModule, module_b: SpinModule,
     return SpinModule(target_space, pol)
 
 
-def mult_iso(v: TensorSpinVector, joint: SpinModule) -> SpinVector:
-    """Exterior multiplication S_A (x) S_B -> S_joint, s (x) t -> s ^ t.
+def mult_iso(module_a: SpinModule, module_b: SpinModule,
+             joint: SpinModule) -> ExactMatrix:
+    """Exterior multiplication S_A (x) S_B -> S_joint, s (x) t -> s ^ t,
+    as the permutation matrix on basis pairs in kron order.
 
     The joint module must list the first factor's plus vectors before the
     second factor's (combine_spin_modules guarantees this), so monomial
     concatenation needs no extra sign.
     """
-    n_a = len(v.module_a.polarization.plus)
-    terms = {}
-    for (sa, sb), coeff in v.terms.items():
-        joined = tuple(sa) + tuple(j + n_a for j in sb)
-        terms[joined] = terms.get(joined, ZERO) + coeff
-    return SpinVector(joint, terms)
+    n_a = len(module_a.polarization.plus)
+    return ExactMatrix.from_entries(joint.dim, module_a.dim * module_b.dim, {
+        (joint.index[sa + tuple(j + n_a for j in sb)], ia * module_b.dim + ib): ONE
+        for ia, sa in enumerate(module_a.basis)
+        for ib, sb in enumerate(module_b.basis)})

@@ -196,6 +196,7 @@ class TransitiveTriple:
         self.spin_ql = SpinModule(self.space_ql)
         self.spin_ls = SpinModule(self.space_ls)
         self.spin_qlp = SpinModule(self.space_qlp)
+        self.spin_hs = SpinModule(self.pair_h_hk.space)
 
         if h_module_map is not None and len(h_module_map) != len(self.h_basis):
             raise TripleStructureError(

@@ -258,6 +258,47 @@ def test_matched_block_failure_fails_the_table_and_spares_the_scans(
         assert status[name][0] == "pass"
 
 
+def _failing_details(suite, **kwargs):
+    [(_, checks)] = report.run_suites([suite], **kwargs)
+    return {c.check: c.details for c in checks if c.status == "fail"}
+
+
+def test_intertwiner_failure_names_the_element_pairs(monkeypatch):
+    # the tensor action without the Koszul sign of the first factor
+    monkeypatch.setattr(report, "graded_tensor_action",
+                        lambda c, d, a, b: a.gamma(c).kron(b.gamma(d)))
+    assert _failing_details("spin") == {
+        "tensor-intertwiner": "3 of 12 intertwining cases fail, at the "
+                              "element pairs ['1 (x) Z', 'T1 (x) Z', 'T2 (x) Z']"}
+
+
+def test_block_eigenvalue_failure_counts_the_blocks(monkeypatch):
+    exact = spectral.block_eigenvalue
+    monkeypatch.setattr(spectral, "block_eigenvalue", lambda triple, blk: (
+        -exact(triple, blk) if blk.right.a > 8 else exact(triple, blk)))
+    details = _failing_details("spectral", weight=1)["block-eigenvalues"]
+    # a > 8 with a != b: 2 * 21 - 2 blocks
+    assert details == ("eigenvalue mismatch on 40 blocks, first "
+                       "[(9, -10), (9, -9), (9, -8), (9, -7), (9, -6)]")
+
+
+def test_scan_uniqueness_failure_names_the_lines_met(monkeypatch):
+    family = spectral.scan_family
+
+    def doubled(kind, depth, n_levels):
+        # the member nu = -5 also meets the line of nu = -4
+        members = family(kind, depth, n_levels)
+        if kind == "highest":
+            members[-5] = sorted(members[-5] + members[-4])
+        return members
+    monkeypatch.setattr(spectral, "scan_family", doubled)
+    details = _failing_details("spectral", weight=4)
+    assert details["scan-uniqueness"] == (
+        "scan hits, each with the lines (total, slot, level) it met: "
+        "highest {-4: [(-3, 'e', 0)], -5: [(-3, 'e', 0)]}, "
+        "lowest {2: [(1, '1', 0)]}")
+
+
 def test_cli_import_leaves_dataclasses_out():
     src = Path(cli.__file__).resolve().parents[1]
     probe = "import sys, diracembed.cli; print('dataclasses' in sys.modules)"

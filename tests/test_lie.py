@@ -76,6 +76,12 @@ def test_algebra_equality_is_structural():
     assert direct_sum(sl2(), sl2()) == direct_sum(sl2(), sl2())
 
 
+def test_ladder_modules_share_one_algebra():
+    modules = [sl2_irrep(2), lowest_weight_module(3, 4),
+               highest_weight_module(-3, 4)]
+    assert all(m.algebra is sl2() for m in modules)
+
+
 def test_direct_sum_blocks():
     g = direct_sum(sl2(), sl2())
     assert g.labels == ("h1", "e1", "f1", "h2", "e2", "f2")

@@ -5,8 +5,8 @@ from itertools import combinations
 import pytest
 
 from diracembed import (CliffordElement, ExactMatrix, HALF, I, INV_SQRT2, ONE,
-                        Polarization, QuadraticSpace, SpinModule, SpinVector,
-                        TensorSpinVector, ZERO, coerce, combine_spin_modules,
+                        Polarization, QuadraticSpace, SpinModule, ZERO,
+                        coerce, combine_spin_modules,
                         graded_tensor_action, inject_element, mult_iso,
                         standard_polarization)
 
@@ -128,23 +128,6 @@ def test_odd_generator_alternates_with_degree():
     assert gz[vac, top] == ZERO
 
 
-# -- spin vectors ----------------------------------------------------------------------
-
-def test_spin_vector_apply_matches_gamma_columns():
-    module = SpinModule(SLICE_SPACE)
-    v = SpinVector.basis(module, ())
-    moved = v.apply(CliffordElement.generator(SLICE_SPACE, 0))
-    assert moved == SpinVector(module, {(0,): INV_SQRT2})
-    assert moved.scaled(coerce(2)) == moved + moved
-    assert (moved + moved.scaled(-ONE)).is_zero()
-
-
-def test_spin_vector_column_roundtrip():
-    module = SpinModule(SLICE_SPACE)
-    v = SpinVector(module, {(): I, (0,): INV_SQRT2})
-    assert SpinVector.from_column(module, v.to_column()) == v
-
-
 # -- tensor products --------------------------------------------------------------------
 
 def test_graded_tensor_action_koszul_sign():
@@ -153,17 +136,13 @@ def test_graded_tensor_action_koszul_sign():
     c = CliffordElement.generator(SLICE_SPACE, 0)
     d = CliffordElement.generator(ODD_SPACE, 0)
     unit_a = CliffordElement.unit(SLICE_SPACE)
-    even = TensorSpinVector.basis(ma, mb, (), ())
-    odd = TensorSpinVector.basis(ma, mb, (0,), ())
-    # odd d on an even tensor factor: no sign
-    assert graded_tensor_action(unit_a, d, even) == \
-        even.scaled(I * INV_SQRT2)
-    # odd d past an odd factor: Koszul sign -1
-    assert graded_tensor_action(unit_a, d, odd) == \
-        odd.scaled(-I * INV_SQRT2)
+    # basis pairs in kron order: (vacuum, vacuum), (u, vacuum); odd d acts
+    # by i/sqrt2, and past the odd factor u with the Koszul sign -1
+    assert graded_tensor_action(unit_a, d, ma, mb) == ExactMatrix(
+        [[I * INV_SQRT2, ZERO], [ZERO, -I * INV_SQRT2]])
     # mixed action factors through the two sides
-    both = graded_tensor_action(c, d, odd)
-    assert both == TensorSpinVector(ma, mb, {((), ()): -I * HALF})
+    assert graded_tensor_action(c, d, ma, mb) == ExactMatrix(
+        [[ZERO, -I * HALF], [I * HALF, ZERO]])
 
 
 def test_combine_requires_even_first_factor():
@@ -173,6 +152,13 @@ def test_combine_requires_even_first_factor():
                              joint_space)
 
 
+C_ELTS = [CliffordElement.unit(SLICE_SPACE),
+          CliffordElement.generator(SLICE_SPACE, 0),
+          CliffordElement.generator(SLICE_SPACE, 1)]
+D_ELTS = [CliffordElement.unit(ODD_SPACE),
+          CliffordElement.generator(ODD_SPACE, 0)]
+
+
 def test_combined_module_factorizes_the_action():
     joint_space = QuadraticSpace(("Z", "T1", "T2"), (-1, 1, 1))
     ma = SpinModule(SLICE_SPACE)
@@ -180,27 +166,41 @@ def test_combined_module_factorizes_the_action():
     joint = combine_spin_modules(ma, mb, joint_space)
     assert joint.dim == ma.dim * mb.dim
 
-    c_elts = [CliffordElement.unit(SLICE_SPACE),
-              CliffordElement.generator(SLICE_SPACE, 0),
-              CliffordElement.generator(SLICE_SPACE, 1)]
-    d_elts = [CliffordElement.unit(ODD_SPACE),
-              CliffordElement.generator(ODD_SPACE, 0)]
-    pairs = [(sa, sb) for sa in ma.basis for sb in mb.basis]
-    for c in c_elts:
-        for d in d_elts:
+    iso = mult_iso(ma, mb, joint)
+    for c in C_ELTS:
+        for d in D_ELTS:
             joint_elt = inject_element(c, joint_space) * \
                 inject_element(d, joint_space)
-            for sa, sb in pairs:
-                v = TensorSpinVector.basis(ma, mb, sa, sb)
-                through_tensor = mult_iso(graded_tensor_action(c, d, v), joint)
-                direct = mult_iso(v, joint).apply(joint_elt)
-                assert through_tensor == direct
+            assert iso @ graded_tensor_action(c, d, ma, mb) == \
+                joint.gamma(joint_elt) @ iso
 
 
-def test_mult_iso_concatenates_monomials():
+def test_factorization_needs_the_koszul_sign():
+    """Negative control: dropping the parity factor breaks the identity."""
     joint_space = QuadraticSpace(("Z", "T1", "T2"), (-1, 1, 1))
     ma = SpinModule(SLICE_SPACE)
     mb = SpinModule(ODD_SPACE)
     joint = combine_spin_modules(ma, mb, joint_space)
-    v = TensorSpinVector.basis(ma, mb, (0,), ())
-    assert mult_iso(v, joint) == SpinVector.basis(joint, (0,))
+    iso = mult_iso(ma, mb, joint)
+    broken = [(c, d) for c in C_ELTS for d in D_ELTS
+              if iso @ ma.gamma(c).kron(mb.gamma(d)) !=
+              joint.gamma(inject_element(c, joint_space)
+                          * inject_element(d, joint_space)) @ iso]
+    assert broken == [(c, D_ELTS[1]) for c in C_ELTS]
+
+
+def test_mult_iso_concatenates_monomials():
+    even_space = QuadraticSpace(("A", "B"), (-1, -1))
+    joint_space = QuadraticSpace(("A", "B", "T1", "T2"), (-1, -1, 1, 1))
+    ma = SpinModule(SLICE_SPACE)
+    mb = SpinModule(even_space)
+    joint = combine_spin_modules(ma, mb, joint_space)
+    iso = mult_iso(ma, mb, joint)
+    assert iso.shape == (joint.dim, ma.dim * mb.dim)
+    entries = dict(iso.items())
+    assert set(entries.values()) == {ONE}
+    assert sorted(i for i, _ in entries) == list(range(joint.dim))
+    assert sorted(j for _, j in entries) == list(range(joint.dim))
+    # s (x) t -> s ^ t, with the second factor's plus vectors after the first's
+    assert iso[joint.index[(0,)], ma.index[(0,)] * mb.dim + mb.index[()]] == ONE
+    assert iso[joint.index[(1,)], ma.index[()] * mb.dim + mb.index[(0,)]] == ONE
