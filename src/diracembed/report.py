@@ -7,9 +7,11 @@ per check; reruns of the same build yield byte-identical output.
 
 import json
 from fractions import Fraction
+from itertools import product
 from typing import NamedTuple
 
-from .scalars import ExactScalar, ExactMatrix, coerce, ZERO, HALF, INV_SQRT2
+from .scalars import (ExactScalar, ExactMatrix, coerce, ZERO, ONE, HALF,
+                      INV_SQRT2)
 from .lie import sl2_irrep
 from .clifford import (QuadraticSpace, CliffordElement, clifford_commutator,
                        inject_element, alpha_split_holds)
@@ -36,6 +38,11 @@ def _check(suite, check, ok, good, bad, anchor) -> CheckResult:
 
 def _skip(suite, check, why, anchor) -> CheckResult:
     return CheckResult(suite, check, "skipped", why, anchor)
+
+
+def _first(bad):
+    """The first failing case, named in a failure message."""
+    return bad[0] if bad else None
 
 
 # -- clifford suite -----------------------------------------------------------
@@ -75,17 +82,18 @@ def clifford_suite():
     for dim in range(1, 5):
         space = _sample_space(dim)
         monos = _all_monomials(space)
-        bad = 0
+        bad = []
         for a in monos:
             for b in monos:
                 ab = a * b
                 for c in monos:
                     if (ab) * c != a * (b * c):
-                        bad += 1
+                        bad.append(f"({a}, {b}, {c})")
         results.append(_check(
-            "clifford", f"associativity-dim-{dim}", bad == 0,
+            "clifford", f"associativity-dim-{dim}", not bad,
             f"(ab)c = a(bc) on all {len(monos) ** 3} basis monomial triples",
-            f"{bad} associativity failures", "clifford-associativity"))
+            f"{len(bad)} associativity failures, first at the monomial "
+            f"triple {_first(bad)}", "clifford-associativity"))
     square_bad = []
     for dim in range(1, 7):
         space = _sample_space(dim)
@@ -126,12 +134,13 @@ def spin_suite(triple):
 
     spin = triple.spin_ql
     monos = _all_monomials(spin.space)
-    bad = sum(1 for a in monos for b in monos
-              if spin.gamma(a * b) != spin.gamma(a) @ spin.gamma(b))
+    bad = [f"({a}, {b})" for a in monos for b in monos
+           if spin.gamma(a * b) != spin.gamma(a) @ spin.gamma(b)]
     results.append(_check(
-        "spin", "multiplicativity", bad == 0,
+        "spin", "multiplicativity", not bad,
         f"gamma(ab) = gamma(a)gamma(b) on all {len(monos) ** 2} monomial pairs",
-        f"{bad} multiplicativity failures", "spin-action-relations"))
+        f"{len(bad)} multiplicativity failures, first at the monomial pair "
+        f"{_first(bad)}", "spin-action-relations"))
 
     joint = combine_spin_modules(triple.spin_ls, triple.spin_qlp,
                                  triple.space_ql)
@@ -186,37 +195,36 @@ def triple_suite(triple):
              ("l-lk", triple.pair_l_lk), ("lk-lh", triple.pair_lk_lh),
              ("h-hk", triple.pair_h_hk))
     for name, pair in pairs:
-        bad = 0
+        bad = []
         total = 0
-        for x in pair.acting_basis:
+        for i, x in enumerate(pair.acting_basis):
             ax = pair.alpha(x)
-            for y in pair.complement_basis:
+            for label, y in zip(pair.space.labels, pair.complement_basis):
                 got = clifford_commutator(ax, pair.vector_element(y))
                 want = pair.vector_element(triple.algebra.bracket(x, y))
                 total += 1
                 if got != want:
-                    bad += 1
+                    bad.append(f"(acting {i}, {label})")
         results.append(_check(
-            "triple", f"alpha-commutator-{name}", bad == 0,
+            "triple", f"alpha-commutator-{name}", not bad,
             f"[alpha(X), Y] = [X, Y] for all {total} basis pairs",
-            f"{bad} of {total} commutator identities fail",
-            "alpha-commutator-identity"))
+            f"{len(bad)} of {total} commutator identities fail, first at "
+            f"the basis pair {_first(bad)}", "alpha-commutator-identity"))
 
-    bad = 0
+    bad = []
     total = 0
     for name, pair in pairs:
-        for x in pair.acting_basis:
-            for y in pair.acting_basis:
-                got = clifford_commutator(pair.alpha(x), pair.alpha(y))
-                want = pair.alpha(triple.algebra.bracket(x, y))
-                total += 1
-                if got != want:
-                    bad += 1
+        for (i, x), (j, y) in product(enumerate(pair.acting_basis), repeat=2):
+            got = clifford_commutator(pair.alpha(x), pair.alpha(y))
+            want = pair.alpha(triple.algebra.bracket(x, y))
+            total += 1
+            if got != want:
+                bad.append(f"(acting {i}, acting {j}) of {name}")
     results.append(_check(
-        "triple", "alpha-morphism", bad == 0,
+        "triple", "alpha-morphism", not bad,
         f"alpha([X, Y]) = [alpha(X), alpha(Y)] for all {total} acting pairs",
-        f"{bad} of {total} morphism identities fail",
-        "alpha-commutator-identity"))
+        f"{len(bad)} of {total} morphism identities fail, first at the "
+        f"basis pair {_first(bad)}", "alpha-commutator-identity"))
 
     bad = 0
     for x in triple.l_h_basis:
@@ -245,14 +253,18 @@ def triple_suite(triple):
         "alpha of the slice pair splits into compact and noncompact parts",
         "alpha split fails on the fixed part", "alpha-commutator-identity"))
 
+    # the cases run over ordered triples of the eigenbasis vectors with
+    # nu != 1, named here by their eigenbasis indices
     cases = omega_rescaling_cases(triple)
-    bad = sum(1 for lhs, rhs in cases if lhs != rhs)
+    moving = [i for i, nu in enumerate(triple.eigen_nus) if nu != ONE]
+    bad = [xyz for xyz, (lhs, rhs) in zip(product(moving, repeat=3), cases)
+           if lhs != rhs]
     results.append(_check(
-        "triple", "omega-rescaling", bad == 0,
+        "triple", "omega-rescaling", not bad,
         f"trilinear form rescaling identity holds on all {len(cases)} "
         f"ordered eigenbasis triples",
-        f"{bad} of {len(cases)} rescaling cases fail",
-        "omega-rescaling-identity"))
+        f"{len(bad)} of {len(cases)} rescaling cases fail, first at the "
+        f"eigenbasis triple {_first(bad)}", "omega-rescaling-identity"))
     return results
 
 

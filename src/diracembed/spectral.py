@@ -142,7 +142,7 @@ def even_weight_cancellation(triple, module: WeightModule) -> dict:
             "even_weights": has_even}
 
 
-# -- spin line naming ---------------------------------------------------------
+# -- spin line naming and kernel lines ---------------------------------------
 
 
 def grading_element(triple):
@@ -199,6 +199,47 @@ def ql_slot_names(triple) -> dict:
     return _slot_names(triple.spin_ql, alpha, "u")
 
 
+class KernelLine(NamedTuple):
+    """One kernel line: its torus weight, spin line name, and module level."""
+
+    total: int
+    slot: str
+    level: int
+
+
+def _line_weight(name: str) -> int:
+    """Torus weight of a named spin line: -1 on "1", +1 on "e" or "u"."""
+    return -1 if name == "1" else 1
+
+
+def _kernel_lines(op: ExactMatrix, module: WeightModule, names: dict) -> list:
+    """Kernel lines of an operator from the first levels of M (x) S (spin
+    index fastest) to all of it.  It must keep the torus weight, module
+    weight plus line weight, so each weight's columns form a block solved
+    on its own, and every kernel vector must sit on one (level, line)."""
+    spin_dim = len(names)
+    weight = [w + _line_weight(names[s])
+              for w in module.weights for s in range(spin_dim)]
+    for (i, j), _ in op.items():
+        if weight[i] != weight[j]:
+            raise SpectralError(f"the operator carries torus weight "
+                                f"{weight[j]} to {weight[i]}")
+    by_total = defaultdict(list)
+    for k in range(op.ncols):
+        by_total[weight[k]].append(k)
+    totals = sorted(by_total)
+    blocks = op.column_blocks(by_total[t] for t in totals)
+    lines = []
+    for total, block in zip(totals, blocks):
+        for nv in block.nullspace():
+            support = [k for k in range(nv.nrows) if not nv[k, 0].is_zero()]
+            if len(support) != 1:
+                raise SpectralError("kernel line mixes module levels")
+            level, s = divmod(by_total[total][support[0]], spin_dim)
+            lines.append(KernelLine(total, names[s], level))
+    return sorted(lines)
+
+
 # -- the fixed-side Dirac operator and its kernel -----------------------------
 
 
@@ -234,24 +275,11 @@ def hs_dirac_operator(triple, module: WeightModule,
 
 
 def finite_dirac_kernel(triple, module: WeightModule) -> list:
-    """Weight/line classification of the exact kernel on E (x) S.
-
-    Returns sorted pairs (twist weight, spin line name); every kernel
-    line must be pure in both factors.
-    """
-    op = hs_dirac_operator(triple, module)
-    spin_dim = triple.spin_hs.dim
-    names = hs_slot_names(triple)
-    lines = []
-    for v in op.nullspace():
-        support = [k for k in range(v.nrows) if not v[k, 0].is_zero()]
-        weight_idx = {k // spin_dim for k in support}
-        spin_idx = {k % spin_dim for k in support}
-        weights = {module.weights[i] for i in weight_idx}
-        if len(weights) != 1 or len(spin_idx) != 1:
-            raise SpectralError("kernel line is not weight and line pure")
-        lines.append((weights.pop(), names[spin_idx.pop()]))
-    return sorted(lines)
+    """Weight/line classification of the exact kernel on E (x) S: sorted
+    pairs (twist weight, spin line name)."""
+    lines = _kernel_lines(hs_dirac_operator(triple, module), module,
+                          hs_slot_names(triple))
+    return sorted((module.weights[l.level], l.slot) for l in lines)
 
 
 # -- matched blocks -----------------------------------------------------------
@@ -306,14 +334,6 @@ def _check_residual_kills(triple, module, res, ql_names, blk):
 # -- the rank-one side and truncated kernels ----------------------------------
 
 
-class KernelLine(NamedTuple):
-    """One kernel line: its torus weight, spin line name, and module level."""
-
-    total: int
-    slot: str
-    level: int
-
-
 @cache
 def single_side():
     """The rank-one pair: sl2 against its Cartan line, with spin data.
@@ -331,8 +351,7 @@ def single_side():
     pair = ReductivePair(g, [h_v], [x1, x2], ("P1", "P2"))
     spin = SpinModule(pair.space)
     names = _slot_names(spin, pair.alpha(h_v), "e")
-    weights = {i: (1 if n == "e" else -1) for i, n in names.items()}
-    return g, pair, spin, names, weights
+    return g, pair, spin, names, {i: _line_weight(n) for i, n in names.items()}
 
 
 def scan_module(kind: str, param: int, n_levels: int) -> WeightModule:
@@ -355,13 +374,10 @@ def truncated_dirac_kernel(module: WeightModule) -> list:
 
     The domain is restricted to the module's certified levels while all
     image rows are kept, so for the truncated kinds every reported line
-    is a genuine kernel line of the untruncated module.
-
-    The operator, sum_k pi(x_k) (x) C_k from its rational spin-side
-    symbol, keeps the torus weight, so each weight's columns and the rows
-    they reach (at most two) form a block solved on its own.
+    is a genuine kernel line of the untruncated module.  The operator is
+    sum_k pi(x_k) (x) C_k from its rational spin-side symbol.
     """
-    g, pair, spin, names, slot_w = single_side()
+    g, pair, spin, names, _ = single_side()
     if module.algebra != g:
         raise SpectralError("module does not live over the rank-one algebra")
     symbol = algebraic_dirac(pair, lambda b: ExactMatrix([b]), spin)
@@ -371,23 +387,7 @@ def truncated_dirac_kernel(module: WeightModule) -> list:
         c_k = symbol.select_columns(range(k * spin.dim, (k + 1) * spin.dim))
         if not c_k.is_zero():
             op = op + action.select_columns(window).kron(c_k)
-    by_total = defaultdict(list)
-    for j in window:
-        for s in range(spin.dim):
-            by_total[module.weights[j] + slot_w[s]].append((j, s))
-    totals = sorted(by_total)
-    blocks = op.column_blocks([j * spin.dim + s for j, s in by_total[t]]
-                              for t in totals)
-    lines = []
-    for total, block in zip(totals, blocks):
-        group = by_total[total]
-        for nv in block.nullspace():
-            support = [k for k in range(nv.nrows) if not nv[k, 0].is_zero()]
-            if len(support) != 1:
-                raise SpectralError("kernel line mixes module levels")
-            level, s_idx = group[support[0]]
-            lines.append(KernelLine(total, names[s_idx], level))
-    return sorted(lines)
+    return _kernel_lines(op, module, names)
 
 
 # -- parameter scans and the kernel table -------------------------------------
@@ -466,11 +466,11 @@ def table_rows(blocks, families: dict) -> list:
     return rows
 
 
-def kernel_table(triple, m: int, n_levels: int = 40) -> list:
+def kernel_table(triple, m: int) -> list:
     """The kernel identification table for a twist module of highest
     weight 2m: table_rows of the matched blocks against both scan families,
-    scanned to scan_depth(m) with n_levels levels per member."""
+    scanned to scan_depth(m) with 40 levels per member."""
     blocks = matched_kernel_blocks(triple, m)
     depth = scan_depth(m)
-    return table_rows(blocks, {kind: scan_family(kind, depth, n_levels)
+    return table_rows(blocks, {kind: scan_family(kind, depth, 40)
                                for kind in ("highest", "lowest")})

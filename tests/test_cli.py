@@ -9,7 +9,7 @@ from pathlib import Path
 
 import pytest
 
-from diracembed import CheckResult
+from diracembed import CheckResult, CliffordElement, SpinModule, coerce
 from diracembed import cli
 from diracembed import report
 from diracembed import spectral
@@ -29,6 +29,9 @@ PINNED_SPECTRAL = {
     "verify_spectral_w2.json": ["verify", "spectral", "--weight", "2",
                                 "--format", "json"],
     "verify_spectral_w3.txt": ["verify", "spectral", "--weight", "3"],
+    # the fixed-side kernel on a 201-dimensional module, scans to depth 102
+    "verify_spectral_w200.json": ["verify", "spectral", "--weight", "200",
+                                  "--format", "json"],
     **{f"table64_w{w}.json": ["table64", "--weight", str(w)]
        for w in (0, 2, 10, 22, 40)},
 }
@@ -297,6 +300,53 @@ def test_scan_uniqueness_failure_names_the_lines_met(monkeypatch):
         "scan hits, each with the lines (total, slot, level) it met: "
         "highest {-4: [(-3, 'e', 0)], -5: [(-3, 'e', 0)]}, "
         "lowest {2: [(1, '1', 0)]}")
+
+
+def _degree_two_or_more(elt):
+    return any(len(mono) > 1 for mono in elt.terms)
+
+
+def test_associativity_failure_names_the_first_triple(monkeypatch):
+    mul = CliffordElement.__mul__
+    monkeypatch.setattr(CliffordElement, "__mul__", lambda a, b: (
+        mul(a, b).scaled(coerce(2)) if _degree_two_or_more(a) else mul(a, b)))
+    assert _failing_details("clifford") == {
+        f"associativity-dim-{dim}": f"{bad} associativity failures, first at "
+                                    "the monomial triple (g1, g2, 1)"
+        for dim, bad in ((2, 24), (3, 256), (4, 1760))}
+
+
+def test_multiplicativity_failure_names_the_first_pair(monkeypatch):
+    gamma = SpinModule.gamma
+    monkeypatch.setattr(SpinModule, "gamma", lambda s, x: (
+        gamma(s, x) * 2 if _degree_two_or_more(x) else gamma(s, x)))
+    details = _failing_details("spin")["multiplicativity"]
+    assert details == ("34 multiplicativity failures, first at the monomial "
+                       "pair (Z, T1)")
+
+
+def test_alpha_failures_name_the_first_basis_pair(monkeypatch):
+    commutator = report.clifford_commutator
+    monkeypatch.setattr(report, "clifford_commutator",
+                        lambda a, b: commutator(a, b).scaled(coerce(2)))
+    details = _failing_details("triple")
+    assert details["alpha-commutator-g-h"] == (
+        "8 of 9 commutator identities fail, first at the basis pair "
+        "(acting 0, T1)")
+    assert details["alpha-morphism"] == (
+        "6 of 16 morphism identities fail, first at the basis pair "
+        "(acting 0, acting 1) of g-h")
+
+
+def test_omega_rescaling_failure_names_the_first_triple(monkeypatch):
+    cases = report.omega_rescaling_cases
+    # cases 5 and 7 are the eigenbasis triples (1, 2, 3) and (1, 3, 2)
+    monkeypatch.setattr(report, "omega_rescaling_cases", lambda triple: [
+        (lhs, rhs + coerce(1)) if k in (5, 7) else (lhs, rhs)
+        for k, (lhs, rhs) in enumerate(cases(triple))])
+    assert _failing_details("triple") == {
+        "omega-rescaling": "2 of 27 rescaling cases fail, first at the "
+                           "eigenbasis triple (1, 2, 3)"}
 
 
 def test_cli_import_leaves_dataclasses_out():

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from diracembed import spectral
 from diracembed import (CharacterLabel, ExactMatrix, ExactScalar, I,
                         INV_SQRT2, KernelLine, LieAlgebra, ONE, SpectralError,
                         SpinModule, WeightModule, ZERO, algebraic_dirac, beta_action, block_eigenvalue, build_sl2_triple, coerce,
@@ -148,6 +149,30 @@ def test_finite_kernel_pairs_extreme_weights_with_spin_lines(triple, m):
         sorted([(2 * m, "e"), (-2 * m, "1")])
 
 
+def _whole_operator_lines(triple, module, op):
+    """Reference fixed-side classification: the nullspace of the whole
+    operator on E (x) S, each kernel vector pure in weight and spin line."""
+    names = hs_slot_names(triple)
+    lines = []
+    for nv in op.nullspace():
+        support = [k for k in range(nv.nrows) if not nv[k, 0].is_zero()]
+        weights = {module.weights[k // len(names)] for k in support}
+        slots = {names[k % len(names)] for k in support}
+        assert len(weights) == 1 and len(slots) == 1
+        lines.append((weights.pop(), slots.pop()))
+    return sorted(lines)
+
+
+@pytest.mark.parametrize("weight", range(13))
+def test_finite_kernel_agrees_with_the_whole_operator_nullspace(triple,
+                                                                weight):
+    module = sl2_irrep(weight)
+    want = _whole_operator_lines(triple, module,
+                                 hs_dirac_operator(triple, module))
+    assert want == sorted([(weight, "e"), (-weight, "1")])
+    assert finite_dirac_kernel(triple, module) == want
+
+
 def test_swapped_duals_produce_a_different_kernel(triple):
     # pairing each vector with its own (rescaled) partner instead of the
     # biorthogonal one is not the invariant element; the kernel comes out
@@ -162,16 +187,9 @@ def test_swapped_duals_produce_a_different_kernel(triple):
                  (big_f, vec_scale(half, big_f))):
         op = op + beta_action(triple, module, v).kron(
             spin.gamma(pair.vector_element(d)))
-    names = hs_slot_names(triple)
-    lines = []
-    for nv in op.nullspace():
-        support = [k for k in range(nv.nrows) if not nv[k, 0].is_zero()]
-        weights = {module.weights[k // spin.dim] for k in support}
-        slots = {names[k % spin.dim] for k in support}
-        assert len(weights) == 1 and len(slots) == 1
-        lines.append((weights.pop(), slots.pop()))
-    assert sorted(lines) == [(-2, "e"), (2, "1")]
-    assert sorted(lines) != finite_dirac_kernel(triple, module)
+    lines = _whole_operator_lines(triple, module, op)
+    assert lines == [(-2, "e"), (2, "1")]
+    assert lines != finite_dirac_kernel(triple, module)
 
 
 # -- matched blocks -----------------------------------------------------------------
@@ -246,6 +264,26 @@ def test_kernel_agrees_with_the_whole_operator_nullspace(kind, param,
     else:
         module = scan_module(kind, param, truncation)
     assert truncated_dirac_kernel(module) == _whole_operator_kernel(module)
+
+
+def _swapped(names):
+    return {i: "e" if n == "1" else "1" for i, n in names.items()}
+
+
+def test_a_misgraded_operator_raises(triple, monkeypatch):
+    # with the spin line names exchanged, the operator no longer keeps the
+    # torus weight the names give, and the blocks would not be its blocks
+    g, pair, spin, names, weights = single_side()
+    monkeypatch.setattr(spectral, "single_side",
+                        lambda: (g, pair, spin, _swapped(names), weights))
+    with pytest.raises(SpectralError,
+                       match="^the operator carries torus weight -6 to -2$"):
+        truncated_dirac_kernel(highest_weight_module(-3, 10))
+    names = hs_slot_names(triple)
+    monkeypatch.setattr(spectral, "hs_slot_names", lambda t: _swapped(names))
+    with pytest.raises(SpectralError,
+                       match="^the operator carries torus weight -1 to 3$"):
+        finite_dirac_kernel(triple, sl2_irrep(2))
 
 
 def test_kernel_rejects_foreign_modules(triple):
