@@ -2,9 +2,11 @@
 
 A LieAlgebra is a finite-dimensional algebra over Q(sqrt2, i) given by
 structure constants and an invariant symmetric bilinear form; Jacobi and
-invariance are checked at construction.  Weight modules store one action
-matrix per generator and re-verify the bracket relations when built, so a
-module object is itself a certificate that its action is consistent.
+invariance are checked at construction.  A WeightModule is an sl2 ladder
+(an irreducible module or a truncated highest or lowest weight module)
+whose stored h, e and f are checked against the bracket relations when
+built, so a module object is itself a certificate that its action is
+consistent.
 """
 from __future__ import annotations
 
@@ -171,46 +173,49 @@ def direct_sum(a: LieAlgebra, b: LieAlgebra, suffixes=("1", "2")) -> LieAlgebra:
 
 
 class WeightModule:
-    """A module with a weight-graded basis and one exact matrix per generator.
+    """The sl2 ladder v_0 .. v_N (N = n_levels) from weight mu, certified.
 
-    kind is "finite", "lowest" or "highest".  The bracket relations hold on
-    the first `certified` basis vectors: all of them for a finite module,
-    v_0 .. v_{N-1} for the truncated kinds, whose stored top level may
-    violate them (inherent to cutting an infinite module at a finite
-    level).  Generator 0 grades the basis: it acts diagonally by the
-    stored weights.
+    kind "finite" and "highest" step down: h v_j = (mu - 2j) v_j, f v_j =
+    v_{j+1}, e v_j = j(mu - j + 1) v_{j-1}; kind "lowest" steps up: h v_j =
+    (mu + 2j) v_j, e v_j = v_{j+1}, f v_j = -j(mu + j - 1) v_{j-1}; the free
+    step stops at v_N.  actions holds the matrices of (h, e, f).  The
+    bracket relations are checked on them for the first `certified` basis
+    vectors: all of them for a finite module, v_0 .. v_{N-1} for the
+    truncated kinds, whose top level may violate them (inherent to cutting
+    an infinite module at a finite level).  h is the diagonal of the
+    weights, so [h,e] = 2e and [h,f] = -2f are checked entry by entry as
+    weight steps of +2 and -2; [e,f] = h is checked with one commutator.
     """
 
-    def __init__(self, algebra: LieAlgebra, weights, actions, kind: str = "finite"):
+    def __init__(self, mu: int, n_levels: int, kind: str):
         if kind not in ("finite", "lowest", "highest"):
             raise ValueError(f"unknown module kind {kind!r}")
-        self.algebra = algebra
-        self.weights = tuple(int(w) for w in weights)
-        self.dim = len(self.weights)
-        self.actions = tuple(actions)
+        if n_levels < 0:
+            raise ValueError(f"n_levels must be nonnegative, got {n_levels}")
+        dim = n_levels + 1
+        step = {(j + 1, j): 1 for j in range(n_levels)}
+        if kind == "lowest":
+            weights = [mu + 2 * j for j in range(dim)]
+            e, f = step, {(j - 1, j): -j * (mu + j - 1) for j in range(1, dim)}
+        else:
+            weights = [mu - 2 * j for j in range(dim)]
+            e, f = {(j - 1, j): j * (mu - j + 1) for j in range(1, dim)}, step
+        h = ExactMatrix.from_entries(dim, dim, {(j, j): w for j, w in enumerate(weights)})
+        e, f = ExactMatrix.from_entries(dim, dim, e), ExactMatrix.from_entries(dim, dim, f)
+        self.algebra = sl2()
+        self.weights = tuple(weights)
+        self.dim = dim
+        self.actions = (h, e, f)
         self.kind = kind
-        self.certified = self.dim if kind == "finite" else self.dim - 1
-        self._verify()
-
-    def _verify(self):
-        if len(self.actions) != self.algebra.dim:
-            raise ValueError("one action matrix per generator required")
-        for m in self.actions:
-            if m.shape != (self.dim, self.dim):
-                raise ValueError("action matrix has wrong shape")
-        n = self.algebra.dim
-        for i in range(n):
-            for j in range(i + 1, n):
-                lhs = self.actions[i] @ self.actions[j] - self.actions[j] @ self.actions[i]
-                rhs = self.action(self.algebra.brackets[i][j])
-                failing = [col for (_, col), _ in (lhs - rhs).items() if col < self.certified]
-                if failing:
-                    raise ValueError(
-                        f"bracket relation [{self.algebra.labels[i]},"
-                        f"{self.algebra.labels[j]}] fails on basis vector {min(failing)}")
-        if self.actions[0] != _diagonal(self.weights):
-            raise ValueError("grading generator is not diagonal "
-                             "with the stored weights")
+        self.certified = dim if kind == "finite" else dim - 1
+        for relation, failing in (
+                ("[h,e]", [c for (r, c), _ in e.items() if weights[r] != weights[c] + 2]),
+                ("[h,f]", [c for (r, c), _ in f.items() if weights[r] != weights[c] - 2]),
+                ("[e,f]", [c for (_, c), _ in (e @ f - f @ e - h).items()])):
+            failing = [c for c in failing if c < self.certified]
+            if failing:
+                raise ValueError(f"bracket relation {relation} fails "
+                                 f"on basis vector {min(failing)}")
 
     def action(self, x: Vector) -> ExactMatrix:
         out = ExactMatrix.zeros(self.dim, self.dim)
@@ -218,30 +223,6 @@ class WeightModule:
             if not xi.is_zero():
                 out = out + self.actions[i] * xi
         return out
-
-
-def _diagonal(weights) -> ExactMatrix:
-    n = len(weights)
-    return ExactMatrix.from_entries(n, n, {(r, r): w for r, w in enumerate(weights)})
-
-
-def _ladder_module(mu: int, n_levels: int, kind: str) -> WeightModule:
-    """The sl2 ladder v_0 .. v_N (N = n_levels) from weight mu: e climbs
-    freely for the lowest kind, f descends freely for the others (the
-    public builders state the actions)."""
-    dim = n_levels + 1
-    step = {(j + 1, j): 1 for j in range(dim - 1)}
-    if kind == "lowest":
-        weights = [mu + 2 * j for j in range(dim)]
-        e, f = step, {(j - 1, j): -j * (mu + j - 1) for j in range(1, dim)}
-    else:
-        weights = [mu - 2 * j for j in range(dim)]
-        e, f = {(j - 1, j): j * (mu - j + 1) for j in range(1, dim)}, step
-    return WeightModule(sl2(), weights,
-                        [_diagonal(weights),
-                         ExactMatrix.from_entries(dim, dim, e),
-                         ExactMatrix.from_entries(dim, dim, f)],
-                        kind=kind)
 
 
 def sl2_irrep(n: int) -> WeightModule:
@@ -252,7 +233,7 @@ def sl2_irrep(n: int) -> WeightModule:
     """
     if n < 0:
         raise ValueError("highest weight must be nonnegative")
-    return _ladder_module(n, n, "finite")
+    return WeightModule(n, n, "finite")
 
 
 def lowest_weight_module(mu: int, n_levels: int) -> WeightModule:
@@ -261,7 +242,7 @@ def lowest_weight_module(mu: int, n_levels: int) -> WeightModule:
     Basis v_0 .. v_N with h v_j = (mu + 2j) v_j, e v_j = v_{j+1} (and
     e v_N = 0, the truncation), f v_j = -j(mu + j - 1) v_{j-1}.
     """
-    return _ladder_module(mu, n_levels, "lowest")
+    return WeightModule(mu, n_levels, "lowest")
 
 
 def highest_weight_module(mu: int, n_levels: int) -> WeightModule:
@@ -270,4 +251,4 @@ def highest_weight_module(mu: int, n_levels: int) -> WeightModule:
     Basis v_0 .. v_N with h v_j = (mu - 2j) v_j, f v_j = v_{j+1} (and
     f v_N = 0), e v_j = j(mu - j + 1) v_{j-1}.
     """
-    return _ladder_module(mu, n_levels, "highest")
+    return WeightModule(mu, n_levels, "highest")

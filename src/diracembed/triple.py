@@ -562,6 +562,7 @@ def parse_triple_description(text):
               "zbasis": (1, False, dim), "tbasis": (1, False, dim),
               "hmodule": (1, False, None)}
     given = {key: {} for key in shapes}
+    source = {}                     # (key, slot) -> the line that gave it
     for line, key, names, tail in entries:
         if key not in shapes:
             raise _line_error(line, f"unknown key {key!r}")
@@ -586,7 +587,12 @@ def parse_triple_description(text):
             shapes[key] = (arity, labelled, len(values))
         elif len(values) != width:
             raise _line_error(line, f"expected {width} value(s), found {len(values)}")
+        if key == "bracket":
+            mirror = values if slot[0] == slot[1] else given[key].get(slot[::-1])
+            if mirror is not None and not vec_is_zero(vec_add(values, mirror)):
+                raise _line_error(line, "bracket not antisymmetric")
         given[key][slot] = values
+        source[key, slot] = line
 
     table = [[(ZERO,) * dim for _ in range(dim)] for _ in range(dim)]
     for (i, j), v in given["bracket"].items():
@@ -606,7 +612,11 @@ def parse_triple_description(text):
 
     def basis_from(key):
         rows = given[key]
-        return [rows[i] for i in sorted(rows)] if rows else None
+        for i in rows:
+            if i >= len(rows):
+                raise _line_error(source[key, i],
+                                  f"{key} indices must run 0..{len(rows) - 1}")
+        return [rows[i] for i in range(len(rows))] if rows else None
 
     return TransitiveTriple(
         algebra, matrix_from("sigma"), matrix_from("theta"),

@@ -23,6 +23,9 @@ PINNED_SPECTRAL = {
     "verify_spectral_w10_t120.json": ["verify", "spectral", "--weight", "10",
                                       "--truncation", "120", "--format",
                                       "json"],
+    "verify_spectral_w10_t400.json": ["verify", "spectral", "--weight", "10",
+                                      "--truncation", "400", "--format",
+                                      "json"],
     # m = 0 (the one-dimensional member), m = 1 (LDS-) and an odd weight
     "verify_spectral_w0.json": ["verify", "spectral", "--weight", "0",
                                 "--format", "json"],

@@ -1,12 +1,14 @@
 """Lie algebra tables, weight modules, and the truncation discipline."""
 
+from collections import Counter
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, strategies as st
 
-from diracembed import (ExactMatrix, LieAlgebra, ONE, ZERO, coerce, direct_sum,
-                        highest_weight_module, lowest_weight_module, sl2,
-                        sl2_irrep, unit_vector, vec)
+from diracembed import (ExactMatrix, LieAlgebra, ONE, WeightModule, ZERO, coerce,
+                        direct_sum, highest_weight_module, lowest_weight_module,
+                        sl2, sl2_irrep, unit_vector, vec)
 
 
 # -- independent oracle for the sl2 tables -------------------------------------
@@ -59,14 +61,14 @@ def test_constructor_rejects_broken_tables():
     g = sl2()
     bad = [list(row) for row in g.brackets]
     bad[1][2] = vec((0, 1, 0))  # [e,f] = e breaks Jacobi/antisymmetry
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"not antisymmetric at \(1,2\)"):
         LieAlgebra(g.labels, bad, g.form)
 
 
 def test_constructor_rejects_noninvariant_forms():
     g = sl2()
     form = ExactMatrix([[2, 0, 0], [0, 0, 1], [0, 1, 1]])
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="form not invariant"):
         LieAlgebra(g.labels, g.brackets, form)
 
 
@@ -96,7 +98,7 @@ def test_direct_sum_blocks():
 def test_index_lookup():
     g = sl2()
     assert g.index_of("f") == 2
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="not in tuple"):
         g.index_of("x")
 
 
@@ -129,24 +131,35 @@ def test_irrep_casimir_is_scalar():
     assert casimir.is_scalar(lam)
 
 
-def test_module_constructor_certifies_relations():
-    m = sl2_irrep(1)
-    broken = [m.actions[0], m.actions[1], m.actions[1]]
-    with pytest.raises(ValueError):
-        type(m)(m.algebra, m.weights, broken)
-
-
-def test_grading_generator_must_be_diagonal():
-    m = sl2_irrep(1)
-    with pytest.raises(ValueError):
-        type(m)(m.algebra, (1, 1), m.actions)
-
-
 def test_module_constructor_rejects_an_unknown_kind():
     # a misspelt kind would otherwise leave the top level uncertified
-    m = lowest_weight_module(1, 5)
     with pytest.raises(ValueError, match="'Finite'"):
-        type(m)(m.algebra, m.weights, m.actions, kind="Finite")
+        WeightModule(1, 5, "Finite")
+
+
+def test_module_constructor_rejects_negative_levels():
+    with pytest.raises(ValueError, match="n_levels"):
+        WeightModule(1, -1, "lowest")
+
+
+def test_finite_ladder_must_stop_at_its_lowest_weight():
+    # every coefficient obeys the ladder rule, yet f v_6 = 0 while e v_6 != 0
+    # breaks [e,f] = h on the last basis vector
+    with pytest.raises(ValueError,
+                       match=r"^bracket relation \[e,f\] fails on basis vector 6$"):
+        WeightModule(4, 6, "finite")
+
+
+def test_module_build_makes_two_products_and_no_action_sums(monkeypatch):
+    # the relations are checked without whole-matrix commutators per pair
+    products, sums = [], []
+    matmul = ExactMatrix.__matmul__
+    monkeypatch.setattr(ExactMatrix, "__matmul__",
+                        lambda a, b: products.append(1) or matmul(a, b))
+    monkeypatch.setattr(WeightModule, "action", lambda self, x: sums.append(x))
+    lowest_weight_module(3, 200)
+    assert len(products) <= 2
+    assert sums == []
 
 
 # -- truncated weight modules ----------------------------------------------------
@@ -180,3 +193,61 @@ def test_truncation_violates_relations_only_at_the_top():
     assert any(not diff[r, m.dim - 1].is_zero() for r in range(m.dim))
     first_failing = min(col for (_, col), _ in diff.items())
     assert first_failing == m.certified
+
+
+# -- independent oracle for the ladder matrices ------------------------------------
+# closed forms from the builders' docstrings, multiplied by hand over Fraction
+
+def closed_form(kind, mu, n):
+    """The nonzero entries of (h, e, f) on v_0 .. v_n, as {(row, col): int}."""
+    up = 1 if kind == "lowest" else -1
+    h = {(j, j): mu + 2 * up * j for j in range(n + 1)}
+    step = {(j + 1, j): 1 for j in range(n)}
+    if kind == "lowest":
+        e, f = step, {(j - 1, j): -j * (mu + j - 1) for j in range(1, n + 1)}
+    else:
+        e, f = {(j - 1, j): j * (mu - j + 1) for j in range(1, n + 1)}, step
+    return [{k: v for k, v in x.items() if v} for x in (h, e, f)]
+
+
+def as_fractions(matrix):
+    assert all(x.is_rational() for _, x in matrix.items())
+    return {k: x.a for k, x in matrix.items()}
+
+
+def product(x, y):
+    out = Counter()
+    for (r, k), a in x.items():
+        for (k2, c), b in y.items():
+            if k == k2:
+                out[r, c] += Fraction(a) * b
+    return out
+
+
+def residual_columns(x, y, z, scale):
+    """Columns on which [x, y] - scale * z is nonzero."""
+    out = product(x, y)
+    out.subtract(product(y, x))
+    out.subtract({key: scale * v for key, v in z.items()})
+    return {c for (_, c), v in out.items() if v}
+
+
+@given(st.sampled_from(["finite", "lowest", "highest"]),
+       st.integers(-15, 15), st.integers(1, 60))
+def test_ladder_matrices_match_the_closed_forms(kind, mu, n):
+    if kind == "finite":
+        mu = n = abs(mu)
+    m = WeightModule(mu, n, kind)
+    h, e, f = closed_form(kind, mu, n)
+    assert [as_fractions(x) for x in m.actions] == [h, e, f]
+    assert m.weights == tuple(h.get((j, j), 0) for j in range(n + 1))
+    assert m.certified == (n + 1 if kind == "finite" else n)
+    assert min(residual_columns(h, e, e, 2), default=n + 1) >= m.certified
+    assert min(residual_columns(h, f, f, -2), default=n + 1) >= m.certified
+    failing = residual_columns(e, f, h, 1)
+    assert min(failing, default=n + 1) >= m.certified
+    # a truncated window keeps [e,f] = h at its top level exactly when it
+    # closes into the finite irreducible: mu = -n (lowest), mu = n (highest)
+    closes = mu == (-n if kind == "lowest" else n)
+    if kind != "finite":
+        assert (n in failing) == (not closes)

@@ -2,6 +2,7 @@
 
 from datetime import timedelta
 from fractions import Fraction
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import given, settings
@@ -10,7 +11,7 @@ from hypothesis import strategies as st
 from diracembed import spectral
 from diracembed import (CharacterLabel, ExactMatrix, ExactScalar, I,
                         INV_SQRT2, KernelLine, LieAlgebra, ONE, SpectralError,
-                        SpinModule, WeightModule, ZERO, algebraic_dirac, beta_action, block_eigenvalue, build_sl2_triple, coerce,
+                        SpinModule, ZERO, algebraic_dirac, beta_action, block_eigenvalue, build_sl2_triple, coerce,
                         compact_generator_scalar, cubic_scalar,
                         even_weight_cancellation, finite_dirac_kernel,
                         grading_element, highest_weight_module,
@@ -287,9 +288,12 @@ def test_a_misgraded_operator_raises(triple, monkeypatch):
 
 
 def test_kernel_rejects_foreign_modules(triple):
-    module = WeightModule(LieAlgebra(("h",), [[(ZERO,)]], ExactMatrix([[2]])),
-                          [2, 0, -2], [sl2_irrep(2).actions[0]])
-    with pytest.raises(SpectralError):
+    # a module over another algebra reaches the kernel duck-typed
+    module = SimpleNamespace(
+        algebra=LieAlgebra(("h",), [[(ZERO,)]], ExactMatrix([[2]])),
+        weights=(2, 0, -2), dim=3, certified=3, kind="finite",
+        actions=(sl2_irrep(2).actions[0],))
+    with pytest.raises(SpectralError, match="rank-one algebra"):
         truncated_dirac_kernel(module)
 
 

@@ -250,6 +250,15 @@ ROW = ", ".join(["0"] * 6)
     ("h 0", ["h 0: 1, 0, 0, 1, 0"]),
     ("l 0", ["l 0: 1, 0, 0, 0, 0, 1/0"]),
     ("l 0", ["l x: 1, 0, 0, 0, 0, 0"]),
+    # a nonzero bracket of a label with itself, a mirrored bracket that
+    # breaks antisymmetry
+    ("bracket h1 e1", ["bracket h1 h1: 0, 2, 0, 0, 0, 0"]),
+    ("bracket h1 e1", ["bracket h1 e1: 0, 2, 0, 0, 0, 0",
+                       "bracket e1 h1: 0, 2, 0, 0, 0, 0"]),
+    # indices that skip a number
+    ("h 2", ["h 7: 1, 0, 0, 1, 0, 0"]),
+    ("l 0", ["l 7: 1, 0, 0, 0, 0, 0"]),
+    ("hmodule 1", ["hmodule 5: 0, 0, 0"]),
 ])
 def test_parse_rejects_malformed_lines_naming_them(triple, head, bad_lines):
     lines = dump_triple_description(triple).splitlines()
@@ -295,8 +304,12 @@ def test_parse_rejects_hmodule_rows_of_unequal_length_or_number(triple):
     with pytest.raises(ValueError, match="found 2 in line 'hmodule 2: "):
         parse_triple_description(ragged)
     lines = dump_triple_description(triple).splitlines()
-    missing = [line for line in lines if not line.startswith("hmodule 1")]
+    missing = [line for line in lines if not line.startswith("hmodule 2")]
     with pytest.raises(ValueError, match="one row per h basis"):
+        parse_triple_description("\n".join(missing))
+    # a missing middle row leaves the last row's index past the count
+    missing = [line for line in lines if not line.startswith("hmodule 1")]
+    with pytest.raises(ValueError, match=r"run 0\.\.1 in line 'hmodule 2: "):
         parse_triple_description("\n".join(missing))
     with pytest.raises(TripleStructureError, match="one row per h basis"):
         TransitiveTriple(triple.algebra, triple.sigma, triple.theta,
