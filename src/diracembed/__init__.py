@@ -32,7 +32,7 @@ from .spectral import (SpectralError, CharacterLabel, PeterWeylBlock,
                        hs_dirac_operator, finite_dirac_kernel,
                        matched_kernel_blocks, KernelLine, single_side,
                        scan_module, truncated_dirac_kernel, scan_family,
-                       scan_hits, kernel_table)
+                       scan_hits, scan_lines, kernel_table)
 from .report import (CheckResult, run_suites, render_json, render_text,
                      has_failure, VERSION)
 

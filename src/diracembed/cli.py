@@ -25,8 +25,8 @@ _TARGETS = {
     "spectral": ["spectral"],
 }
 
-MAX_TRUNCATION = 2000     # the kernel scans take time linear in it
-MAX_WEIGHT = 1000         # the scans and the checks grow with it
+MAX_TRUNCATION = 2000     # verify solves two scan members at this size
+MAX_WEIGHT = 1000         # the scan members and their levels grow with it
 
 
 def _build_parser() -> argparse.ArgumentParser:

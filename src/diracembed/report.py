@@ -361,10 +361,9 @@ def spectral_suite(triple, weight: int, truncation: int = 40):
         "spectral", "matched-blocks", ok, blocks_detail, blocks_detail,
         "matched-block-reduction"))
 
-    depth = spectral.scan_depth(m)
-    families = {kind: spectral.scan_family(kind, depth, truncation)
-                for kind in ("highest", "lowest")}
-    hw, lw = families["highest"][-m - 2], families["lowest"][m]
+    hw, lw = (spectral.truncated_dirac_kernel(
+        spectral.scan_module(kind, param, truncation)) for kind, param in
+        (("highest", -m - 2), ("lowest" if m else "finite", m)))
     hw_ok = [(l.total, l.slot) for l in hw] == [(-m - 1, "e")]
     lw_ok = any(l.total == m - 1 and l.slot == "1" for l in lw)
     results.append(_check(
@@ -373,26 +372,27 @@ def spectral_suite(triple, weight: int, truncation: int = 40):
         f"lowest weight {m} kernel meets total {m - 1} (minus line)",
         f"kernel lines hw={hw} lw={lw}", "weight-module-kernels"))
 
-    targets = {"highest": (-m - 1, "e"), "lowest": (m - 1, "1")}
-    hits = {kind: spectral.scan_hits(families[kind], *targets[kind])
-            for kind in targets}
-    met = {kind: {p: [tuple(l) for l in families[kind][p]
-                      if (l.total, l.slot) == targets[kind]]
-                  for p in hits[kind]} for kind in targets}
-    ok = hits["highest"] == [-m - 2] and hits["lowest"] == [m]
+    # one query per family, shared by the uniqueness check and the table
+    depth = spectral.scan_depth(m)
+    targets = [("highest", -m - 1, "e"), ("lowest", m - 1, "1")]
+    scans = {t: spectral.scan_lines(*t, depth, truncation) for t in targets}
+    hits = [list(scans[t]) for t in targets]
+    met = [{p: [tuple(l) for l in lines] for p, lines in scans[t].items()}
+           for t in targets]
     results.append(_check(
-        "spectral", "scan-uniqueness", ok,
-        f"scans hit exactly one module each: highest {hits['highest']}, "
-        f"lowest {hits['lowest']}",
+        "spectral", "scan-uniqueness", hits == [[-m - 2], [m]],
+        f"scans hit exactly one module each: highest {hits[0]}, "
+        f"lowest {hits[1]}",
         f"scan hits, each with the lines (total, slot, level) it met: "
-        f"highest {met['highest']}, lowest {met['lowest']}",
+        f"highest {met[0]}, lowest {met[1]}",
         "weight-module-kernels"))
 
     # without the matched blocks the table fails with their message
     ok, detail = False, blocks_detail
     if blocks is not None:
         try:
-            table = spectral.table_rows(blocks, families)
+            table = spectral.table_rows(
+                blocks, lambda *target: scans[target])
             ok, detail = table == _expected_table(m), f"table rows {table}"
         except spectral.SpectralError as exc:
             detail = str(exc)

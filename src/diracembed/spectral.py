@@ -357,8 +357,8 @@ def single_side():
 def scan_module(kind: str, param: int, n_levels: int) -> WeightModule:
     """The member of the scan family over the rank-one algebra, built anew.
 
-    kind "finite" ignores n_levels, which its callers pass as 0;
-    "lowest"/"highest" build truncated modules with the given parameter.
+    kind "finite" ignores n_levels; "lowest"/"highest" build truncated
+    modules with the given parameter.
     """
     if kind == "finite":
         return sl2_irrep(param)
@@ -399,30 +399,51 @@ def scan_depth(m: int) -> int:
     return max(12, m + 2)
 
 
-def scan_family(kind: str, depth: int, n_levels: int) -> dict:
-    """Kernel lines of each member of a scan family, by parameter.
-
-    "highest" covers nu = -1 .. -depth.  "lowest" covers mu = 0 .. depth:
-    the mu = 0 member is the one-dimensional module (the honest
-    irreducible quotient), and mu >= 1 are the irreducible truncated
-    lowest weight modules.  Each member is built, solved once and dropped.
-    """
+def _members(kind: str, depth: int) -> list:
+    """(parameter, module kind) of each scan family member: nu = -1 ..
+    -depth for "highest"; mu = 0 .. depth for "lowest", where mu = 0 is the
+    one-dimensional module (the honest irreducible quotient) and mu >= 1
+    are the irreducible truncated lowest weight modules."""
     if kind == "highest":
-        keys = {nu: ("highest", nu, n_levels)
-                for nu in range(-1, -depth - 1, -1)}
-    elif kind == "lowest":
-        keys = {mu: ("lowest", mu, n_levels) if mu else ("finite", 0, 0)
-                for mu in range(depth + 1)}
-    else:
-        raise SpectralError(f"unknown scan family {kind!r}")
-    return {p: truncated_dirac_kernel(scan_module(*key))
-            for p, key in keys.items()}
+        return [(nu, "highest") for nu in range(-1, -depth - 1, -1)]
+    if kind == "lowest":
+        return [(mu, "lowest" if mu else "finite") for mu in range(depth + 1)]
+    raise SpectralError(f"unknown scan family {kind!r}")
+
+
+def scan_family(kind: str, depth: int, n_levels: int) -> dict:
+    """Kernel lines of each member of a scan family, by parameter, each
+    member built with n_levels levels and solved whole: the reference that
+    scan_lines is tested against."""
+    return {p: truncated_dirac_kernel(scan_module(k, p, n_levels))
+            for p, k in _members(kind, depth)}
 
 
 def scan_hits(family: dict, total: int, slot: str) -> list:
     """The parameters of the family members whose kernel meets the line."""
     return [p for p, lines in family.items()
             if any(l.total == total and l.slot == slot for l in lines)]
+
+
+def scan_lines(kind: str, total: int, slot: str, depth: int,
+               n_levels: int) -> dict:
+    """The members of a scan family whose kernel meets the line (total,
+    slot), by parameter, with the lines met: what scan_hits finds in
+    scan_family, with each member solved only where the line can sit.
+
+    That is the level j whose module weight, mu + 2j (lowest) or nu - 2j
+    (highest), is total less the line weight.  A member with no certified
+    level j is skipped unbuilt.  The others are built to level j + 2:
+    levels j and j +- 1 reach only rows j - 2 .. j + 2, whose ladder
+    coefficients do not depend on the truncation, so the line's block and
+    its kernel are those of the n_levels member."""
+    weight, met = total - _line_weight(slot), {}
+    for p, k in _members(kind, depth):
+        j, odd = divmod(weight - p, 2 if kind == "lowest" else -2)
+        if not odd and 0 <= j < (n_levels if k != "finite" else p + 1):
+            met[p] = [l for l in truncated_dirac_kernel(scan_module(
+                k, p, min(n_levels, j + 2))) if l[:2] == (total, slot)]
+    return {p: lines for p, lines in met.items() if lines}
 
 
 def _dual_row(kind: str, param: int) -> list:
@@ -445,20 +466,20 @@ def _dual_row(kind: str, param: int) -> list:
     return ["DS-", -param]
 
 
-def table_rows(blocks, families: dict) -> list:
+def table_rows(blocks, scan) -> list:
     """Rows [kind, parameter, "C", character] of the kernel identification.
 
     Each matched block prescribes a torus weight (its first right-label
-    coordinate) and a spin line: "u" is read as "e" in families["highest"],
-    "1" in families["lowest"].  The unique family member whose kernel meets
-    that line names the first factor; the second coordinate names the
-    character."""
+    coordinate) and a spin line: "u" is read as "e" in the highest weight
+    family, "1" in the lowest.  The unique member that scan(kind, total,
+    slot), answering as scan_lines does, finds names the first factor; the
+    second coordinate names the character."""
     rows = []
     for blk in blocks:
         kind, slot = (("highest", "e") if blk.spin_ls == "u"
                       else ("lowest", "1"))
         target = blk.right.a
-        hits = scan_hits(families[kind], target, slot)
+        hits = list(scan(kind, target, slot))
         if len(hits) != 1:
             raise SpectralError(
                 f"scan for total {target} found {len(hits)} members")
@@ -468,9 +489,7 @@ def table_rows(blocks, families: dict) -> list:
 
 def kernel_table(triple, m: int) -> list:
     """The kernel identification table for a twist module of highest
-    weight 2m: table_rows of the matched blocks against both scan families,
-    scanned to scan_depth(m) with 40 levels per member."""
-    blocks = matched_kernel_blocks(triple, m)
-    depth = scan_depth(m)
-    return table_rows(blocks, {kind: scan_family(kind, depth, 40)
-                               for kind in ("highest", "lowest")})
+    weight 2m: table_rows of the matched blocks, each family member
+    scanned to scan_depth(m) with scan_lines at 40 levels."""
+    return table_rows(matched_kernel_blocks(triple, m), lambda *target:
+                      scan_lines(*target, scan_depth(m), 40))

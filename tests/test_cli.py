@@ -26,6 +26,12 @@ PINNED_SPECTRAL = {
     "verify_spectral_w10_t400.json": ["verify", "spectral", "--weight", "10",
                                       "--truncation", "400", "--format",
                                       "json"],
+    "verify_spectral_w10_t2000.json": ["verify", "spectral", "--weight",
+                                       "10", "--truncation", "2000",
+                                       "--format", "json"],
+    # the window of two levels cuts the scans' target levels
+    "verify_spectral_w22_t2.json": ["verify", "spectral", "--weight", "22",
+                                    "--truncation", "2", "--format", "json"],
     # m = 0 (the one-dimensional member), m = 1 (LDS-) and an odd weight
     "verify_spectral_w0.json": ["verify", "spectral", "--weight", "0",
                                 "--format", "json"],
@@ -36,7 +42,7 @@ PINNED_SPECTRAL = {
     "verify_spectral_w200.json": ["verify", "spectral", "--weight", "200",
                                   "--format", "json"],
     **{f"table64_w{w}.json": ["table64", "--weight", str(w)]
-       for w in (0, 2, 10, 22, 40)},
+       for w in (0, 2, 10, 22, 40, 1000)},
 }
 
 
@@ -246,9 +252,31 @@ def test_each_scan_member_is_solved_once_per_command(command, fixed_side,
                                                      monkeypatch, capsys):
     solved, fixed = _count_kernel_solves(monkeypatch)
     assert cli.main(command) == 0
-    # depth 12: nu = -1..-12 and mu = 0..12
-    assert len(solved) == len(set(solved)) == 25
+    # the members whose target line sits at a level j, built to level j + 2:
+    # nu = -1, -3, -5, -7 meet total -6 at j = 3..0; mu = 1, 3, 5 meet
+    # total 4 at j = 2..0
+    scans = [("highest", -1, 6), ("highest", -3, 5), ("highest", -5, 4),
+             ("highest", -7, 3), ("lowest", 1, 5), ("lowest", 3, 4),
+             ("lowest", 5, 3)]
+    # verify also solves the two ds-kernels members at the full truncation
+    ds = [("highest", -7, 121), ("lowest", 5, 121)] if fixed_side == 2 else []
+    assert len(solved) == len(set(solved))
+    assert solved == ds + scans
     assert fixed == [11] * fixed_side
+
+
+def test_scan_members_do_not_grow_with_the_truncation(monkeypatch, capsys):
+    solved, _ = _count_kernel_solves(monkeypatch)
+    built = {}
+    for truncation in (120, 2000):
+        assert cli.main(["verify", "spectral", "--weight", "10",
+                         "--truncation", str(truncation)]) == 0
+        for ds_member in (("highest", -7, truncation + 1),
+                          ("lowest", 5, truncation + 1)):
+            solved.remove(ds_member)
+        built[truncation] = solved[:]
+        solved.clear()
+    assert built[120] == built[2000]
 
 
 def test_matched_block_failure_fails_the_table_and_spares_the_scans(
@@ -289,15 +317,15 @@ def test_block_eigenvalue_failure_counts_the_blocks(monkeypatch):
 
 
 def test_scan_uniqueness_failure_names_the_lines_met(monkeypatch):
-    family = spectral.scan_family
+    scan = spectral.scan_lines
 
-    def doubled(kind, depth, n_levels):
+    def doubled(kind, total, slot, depth, n_levels):
         # the member nu = -5 also meets the line of nu = -4
-        members = family(kind, depth, n_levels)
+        met = scan(kind, total, slot, depth, n_levels)
         if kind == "highest":
-            members[-5] = sorted(members[-5] + members[-4])
-        return members
-    monkeypatch.setattr(spectral, "scan_family", doubled)
+            met[-5] = met[-4]
+        return met
+    monkeypatch.setattr(spectral, "scan_lines", doubled)
     details = _failing_details("spectral", weight=4)
     assert details["scan-uniqueness"] == (
         "scan hits, each with the lines (total, slot, level) it met: "

@@ -1,5 +1,6 @@
 """Character blocks, exact cancellation, kernel scans, and the dual table."""
 
+import itertools
 from datetime import timedelta
 from fractions import Fraction
 from types import SimpleNamespace
@@ -18,9 +19,9 @@ from diracembed import (CharacterLabel, ExactMatrix, ExactScalar, I,
                         hs_dirac_operator, hs_slot_names, kernel_table,
                         lowest_weight_module, make_block,
                         matched_kernel_blocks, ql_slot_names, scan_family,
-                        scan_hits, scan_module, single_side, sl2_irrep,
-                        truncated_dirac_kernel, unit_vector, vec_add,
-                        vec_is_zero, vec_scale, vec_sub)
+                        scan_hits, scan_lines, scan_module, single_side,
+                        sl2_irrep, truncated_dirac_kernel, unit_vector,
+                        vec_add, vec_is_zero, vec_scale, vec_sub)
 
 
 @pytest.fixture(scope="module")
@@ -320,6 +321,41 @@ def test_scan_misses_return_empty(families):
 def test_scan_family_rejects_an_unknown_kind():
     with pytest.raises(SpectralError, match="'middle'"):
         scan_family("middle", 3, 10)
+    with pytest.raises(SpectralError, match="'middle'"):
+        scan_lines("middle", 0, "1", 3, 10)
+
+
+def _weights_near(module, total):
+    """Module weights total -+ 1 (the "e" and "1" lines of that total) of
+    the certified columns and of all rows."""
+    return [[w for w in weights if abs(w - total) == 1]
+            for weights in (module.weights[:module.certified], module.weights)]
+
+
+@pytest.mark.parametrize("n_levels", [2, 3, 5, 40, 120])
+@pytest.mark.parametrize("m", [*range(15), 22, 40])
+def test_scan_lines_match_the_whole_family_scan(m, n_levels, monkeypatch):
+    built, build = [], spectral.scan_module
+    monkeypatch.setattr(spectral, "scan_module",
+                        lambda *key: built.append(build(*key)) or built[-1])
+    depth = spectral.scan_depth(m)
+    for kind in ("highest", "lowest"):
+        family = scan_family(kind, depth, n_levels)
+        members = built[:]
+        for total, slot in itertools.product((-m - 1, m - 1), ("e", "1")):
+            built.clear()
+            met = [(p, [l for l in family[p] if l[:2] == (total, slot)])
+                   for p in scan_hits(family, total, slot)]
+            assert list(scan_lines(kind, total, slot, depth,
+                                   n_levels).items()) == met
+            # built: exactly the members with a certified column at the
+            # line, each with the member's columns and rows of that total
+            weight = total - (1 if slot == "e" else -1)
+            assert [(b.weights[0], _weights_near(b, total)) for b in built] \
+                == [(p, _weights_near(member, total))
+                    for p, member in zip(family, members)
+                    if weight in member.weights[:member.certified]]
+        built.clear()
 
 
 def _expected_table(m):
