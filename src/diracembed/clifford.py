@@ -249,6 +249,14 @@ class ReductivePair:
         labels = tuple(labels)
         if len(labels) != len(self.complement_basis):
             raise ValueError("one label per complement basis vector required")
+        for k, v in enumerate(self.acting_basis):
+            if len(v) != algebra.dim:
+                raise ValueError(f"acting vector {k} has {len(v)} coordinates, "
+                                 f"not {algebra.dim}")
+        for lbl, v in zip(labels, self.complement_basis):
+            if len(v) != algebra.dim:
+                raise ValueError(f"complement vector {lbl} has {len(v)} "
+                                 f"coordinates, not {algebra.dim}")
         signs = []
         for i, u in enumerate(self.complement_basis):
             for j, v in enumerate(self.complement_basis):

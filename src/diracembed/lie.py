@@ -10,7 +10,7 @@ consistent.
 """
 from __future__ import annotations
 
-from functools import cache
+from functools import cache, cached_property
 
 from .scalars import ExactMatrix, ExactScalar, ONE, ZERO, coerce
 
@@ -45,6 +45,15 @@ def vec_combination(coeffs, vectors, dim: int) -> Vector:
     return tuple(out)
 
 
+def matrix_combination(coeffs, matrices, dim: int) -> ExactMatrix:
+    """The dim x dim matrix sum_k coeffs[k] * matrices[k]."""
+    out = ExactMatrix.zeros(dim, dim)
+    for c, m in zip(coeffs, matrices, strict=True):
+        if not c.is_zero():
+            out = out + m * c
+    return out
+
+
 def vec_is_zero(u: Vector) -> bool:
     return all(x.is_zero() for x in u)
 
@@ -71,6 +80,11 @@ class LieAlgebra:
         n = self.dim
         if len(self.brackets) != n or any(len(r) != n for r in self.brackets):
             raise ValueError("bracket table has wrong shape")
+        for i, row in enumerate(self.brackets):
+            for j, v in enumerate(row):
+                if len(v) != n:
+                    raise ValueError(f"bracket ({i},{j}) has {len(v)} "
+                                     f"coordinates, not {n}")
         if self.form.shape != (n, n):
             raise ValueError("form has wrong shape")
         for i in range(n):
@@ -79,22 +93,35 @@ class LieAlgebra:
                     raise ValueError(f"bracket not antisymmetric at ({i},{j})")
                 if self.form[i, j] != self.form[j, i]:
                     raise ValueError("form not symmetric")
+        # with antisymmetry, Jacobi on (i, j, k) is column k of
+        # [ad_i, ad_j] = ad [b_i, b_j]; invariance of the form on (i, j, k)
+        # is entry (j, k) of ad_i^T F + F ad_i = 0
+        ad = self.ad
         for i in range(n):
             for j in range(i + 1, n):
-                for k in range(j + 1, n):
-                    s = vec_add(self.bracket(self.brackets[i][j], unit_vector(n, k)),
-                                vec_add(self.bracket(self.brackets[j][k], unit_vector(n, i)),
-                                        self.bracket(self.brackets[k][i], unit_vector(n, j))))
-                    if not vec_is_zero(s):
-                        raise ValueError(f"Jacobi fails on basis triple ({i},{j},{k})")
-        # invariance: <[x,y],z> + <y,[x,z]> = 0 on all basis triples
+                defect = (ad[i] @ ad[j] - ad[j] @ ad[i]
+                          - self.adjoint(self.brackets[i][j]))
+                if not defect.is_zero():
+                    k = min(c for (_, c), _ in defect.items())
+                    raise ValueError(f"Jacobi fails on basis triple ({i},{j},{k})")
         for i in range(n):
-            for j in range(n):
-                for k in range(n):
-                    lhs = self.form_value(self.brackets[i][j], unit_vector(n, k))
-                    rhs = self.form_value(unit_vector(n, j), self.brackets[i][k])
-                    if not (lhs + rhs).is_zero():
-                        raise ValueError(f"form not invariant at ({i},{j},{k})")
+            defect = ad[i].transpose() @ self.form + self.form @ ad[i]
+            if not defect.is_zero():
+                j, k = min(key for key, _ in defect.items())
+                raise ValueError(f"form not invariant at ({i},{j},{k})")
+
+    @cached_property
+    def ad(self) -> tuple:
+        """The matrices ad b_i; column j of ad b_i holds [b_i, b_j]."""
+        return tuple(ExactMatrix.from_columns(row, self.dim) for row in self.brackets)
+
+    def adjoint(self, x: Vector) -> ExactMatrix:
+        """The matrix of ad x."""
+        return matrix_combination(x, self.ad, self.dim)
+
+    def gram(self, columns: ExactMatrix) -> ExactMatrix:
+        """The form's Gram matrix of the given column vectors."""
+        return columns.transpose() @ self.form @ columns
 
     def bracket(self, x: Vector, y: Vector) -> Vector:
         out = [ZERO] * self.dim
@@ -218,11 +245,7 @@ class WeightModule:
                                  f"on basis vector {min(failing)}")
 
     def action(self, x: Vector) -> ExactMatrix:
-        out = ExactMatrix.zeros(self.dim, self.dim)
-        for i, xi in enumerate(x):
-            if not xi.is_zero():
-                out = out + self.actions[i] * xi
-        return out
+        return matrix_combination(x, self.actions, self.dim)
 
 
 def sl2_irrep(n: int) -> WeightModule:

@@ -18,9 +18,7 @@ from .clifford import (QuadraticSpace, CliffordElement, clifford_commutator,
 from .spin import graded_tensor_action, combine_spin_modules, mult_iso
 from .triple import build_sl2_triple, omega_rescaling_cases
 from .dirac import verify_embedding
-from . import spectral
-
-VERSION = "0.1.0"
+from . import __version__
 
 
 class CheckResult(NamedTuple):
@@ -295,6 +293,7 @@ def _expected_table(m: int):
 
 
 def spectral_suite(triple, weight: int, truncation: int = 40):
+    from . import spectral      # compiled only when this suite runs
     results = []
 
     bad = []
@@ -439,7 +438,7 @@ def has_failure(suite_results) -> bool:
 
 def render_json(suite_results) -> str:
     doc = {
-        "version": VERSION,
+        "version": __version__,
         "suites": [{"name": name, "checks": [c._asdict() for c in checks]}
                    for name, checks in suite_results],
     }

@@ -251,18 +251,20 @@ def coerce(x) -> ExactScalar:
     raise TypeError(f"cannot coerce {x!r} into Q(sqrt2, i)")
 
 
-_CANONICAL_RE = re.compile(
+# compiled (and cached by re) on first use, so importing this module does
+# not pay for them
+_CANONICAL = (
     r"^(?P<a>[+-]?\d+(?:/\d+)?)\+(?P<b>[+-]?\d+(?:/\d+)?)\*r2"
     r"\+i\*\((?P<c>[+-]?\d+(?:/\d+)?)\+(?P<d>[+-]?\d+(?:/\d+)?)\*r2\)$")
-_RATIONAL_RE = re.compile(r"^[+-]?\d+(?:/\d+)?$")
+_RATIONAL = r"^[+-]?\d+(?:/\d+)?$"
 
 
 def parse_scalar(text: str) -> ExactScalar:
     """Parse the canonical rendering (or a bare rational) back into the field."""
     flat = text.replace(" ", "")
-    m = _CANONICAL_RE.match(flat)
+    m = re.match(_CANONICAL, flat)
     try:
-        if _RATIONAL_RE.match(flat):
+        if re.match(_RATIONAL, flat):
             return ExactScalar(Fraction(flat))
         if m:
             return ExactScalar(*(Fraction(m.group(k)) for k in "abcd"))

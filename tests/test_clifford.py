@@ -173,3 +173,16 @@ def test_expand_recovers_exact_coordinates():
     assert coords == (SQRT2, ZERO)
     with pytest.raises(ValueError):
         pair.expand(h)
+
+
+def test_reductive_pair_rejects_wrong_length_vectors():
+    g = sl2()
+    # h / sqrt2 cut to (1/sqrt2, 0) still has norm 1 over the first two
+    # coordinates, so a zip-based form would accept it
+    with pytest.raises(ValueError,
+                       match=r"^complement vector H has 2 coordinates, not 3$"):
+        ReductivePair(g, [], [(INV_SQRT2, ZERO)], ("H",))
+    with pytest.raises(ValueError,
+                       match=r"^acting vector 0 has 4 coordinates, not 3$"):
+        ReductivePair(g, [(ONE, ZERO, ZERO, ZERO)], [(INV_SQRT2, ZERO, ZERO)],
+                      ("H",))

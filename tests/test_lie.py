@@ -72,6 +72,106 @@ def test_constructor_rejects_noninvariant_forms():
         LieAlgebra(g.labels, g.brackets, form)
 
 
+@pytest.mark.parametrize("short_or_long", [(0, 2), (0, 2, 0, 0)])
+def test_constructor_rejects_wrong_length_bracket_vectors(short_or_long):
+    g = sl2()
+    bad = [list(row) for row in g.brackets]
+    bad[0][1] = vec(short_or_long)
+    with pytest.raises(ValueError, match=rf"^bracket \(0,1\) has "
+                                         rf"{len(short_or_long)} coordinates, not 3$"):
+        LieAlgebra(g.labels, bad, g.form)
+
+
+# -- independent oracle for the Jacobi and invariance certificates ----------------
+# The library checks both as identities of the adjoint matrices; the reference
+# below is the per-basis-triple check on the raw table, with its own bracket.
+
+def raw_bracket(table, x, y):
+    n = len(x)
+    out = [ZERO] * n
+    for i in range(n):
+        for j in range(n):
+            for k in range(n):
+                out[k] = out[k] + x[i] * y[j] * table[i][j][k]
+    return tuple(out)
+
+
+def raw_form(form, x, y):
+    n = len(x)
+    return sum((x[i] * y[j] * form[i, j] for i in range(n) for j in range(n)), ZERO)
+
+
+def reference_failure(table, form):
+    """The first failing Jacobi triple i < j < k, else the first (i, j, k)
+    with <[b_i, b_j], b_k> + <b_j, [b_i, b_k]> != 0, as the library's
+    message; None when both hold."""
+    n = len(table)
+    unit = [unit_vector(n, k) for k in range(n)]
+    for i in range(n):
+        for j in range(i + 1, n):
+            for k in range(j + 1, n):
+                terms = (raw_bracket(table, table[i][j], unit[k]),
+                         raw_bracket(table, table[j][k], unit[i]),
+                         raw_bracket(table, table[k][i], unit[j]))
+                if any(not sum(t, ZERO).is_zero() for t in zip(*terms)):
+                    return f"Jacobi fails on basis triple ({i},{j},{k})"
+    for i in range(n):
+        for j in range(n):
+            for k in range(n):
+                if not (raw_form(form, table[i][j], unit[k])
+                        + raw_form(form, unit[j], table[i][k])).is_zero():
+                    return f"form not invariant at ({i},{j},{k})"
+    return None
+
+
+def library_failure(labels, table, form):
+    try:
+        LieAlgebra(labels, table, form)
+    except ValueError as exc:
+        return str(exc)
+    return None
+
+
+def bracket_perturbations(g):
+    """Antisymmetric edits of one structure constant c_ij^k, i < j."""
+    n = g.dim
+    for i in range(n):
+        for j in range(i + 1, n):
+            for k in range(n):
+                table = [list(row) for row in g.brackets]
+                bump = vec(1 if r == k else 0 for r in range(n))
+                table[i][j] = tuple(x + y for x, y in zip(table[i][j], bump))
+                table[j][i] = tuple(x - y for x, y in zip(table[j][i], bump))
+                yield table
+
+
+def form_perturbations(g):
+    """Symmetric edits of one entry pair of the form."""
+    n = g.dim
+    for a in range(n):
+        for b in range(a, n):
+            entries = dict(g.form.items())
+            for key in {(a, b), (b, a)}:
+                entries[key] = entries.get(key, ZERO) + ONE
+            yield ExactMatrix.from_entries(n, n, entries)
+
+
+@pytest.mark.parametrize("algebra", [sl2, lambda: direct_sum(sl2(), sl2())],
+                         ids=["sl2", "sl2+sl2"])
+def test_certificates_agree_with_the_per_triple_reference(algebra):
+    g = algebra()
+    cases = [(table, g.form) for table in bracket_perturbations(g)]
+    cases += [(g.brackets, form) for form in form_perturbations(g)]
+    cases += [(g.brackets, g.form), (g.brackets, g.form * 2)]
+    outcomes = []
+    for table, form in cases:
+        want = reference_failure(table, form)
+        assert library_failure(g.labels, table, form) == want
+        outcomes.append(want.split()[0] if want else "accepted")
+    # the comparison covers both checks and tables that pass them
+    assert {"Jacobi", "form", "accepted"} <= set(outcomes)
+
+
 def test_algebra_equality_is_structural():
     assert sl2() == sl2()
     assert sl2() != direct_sum(sl2(), sl2())

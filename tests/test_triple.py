@@ -10,8 +10,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from diracembed import (ONE, SQRT2, TransitiveTriple, TripleStructureError,
-                        ZERO, build_sl2_triple, clifford_commutator, coerce,
+from diracembed import (ExactMatrix, LieAlgebra, ONE, SQRT2, TransitiveTriple,
+                        TripleStructureError, ZERO, build_sl2_triple, clifford_commutator, coerce,
                         dump_triple_description, omega_rescaling_cases,
                         omega_value, parse_triple_description, solve_in_span,
                         sl2_irrep, unit_vector, vec_is_zero, vec_scale,
@@ -195,6 +195,105 @@ def test_generic_construction_without_preferred_bases(triple):
                 assert clifford_commutator(ax, pair.vector_element(y)) == \
                     pair.vector_element(g.bracket(x, y))
 
+
+
+# -- the sigma certificates against a per-pair reference ---------------------------
+
+def _with_form(g, second_factor):
+    """g = sl2 + sl2 with the form F + second_factor * F."""
+    entries = {(i, j): x * (second_factor if i >= 3 else 1)
+               for (i, j), x in g.form.items()}
+    return LieAlgebra(g.labels, g.brackets, ExactMatrix.from_entries(6, 6, entries))
+
+
+def _sigma_candidates():
+    """Involutions of sl2 + sl2 commuting with theta: diag(D1, D2) and the
+    factor swap times diag(D, D), for D fixing or negating h and acting on
+    span(e, f) by one of six signed permutations."""
+    ef_blocks = [(1, 0, 0, 1), (-1, 0, 0, -1), (0, 1, 1, 0), (0, -1, -1, 0),
+                 (1, 0, 0, -1), (-1, 0, 0, 1)]
+    factor = [{(0, 0): sign, (1, 1): a, (1, 2): b, (2, 1): c, (2, 2): d}
+              for sign in (1, -1) for a, b, c, d in ef_blocks]
+
+    def place(d, rows, cols):
+        return {(r + rows, c + cols): x for (r, c), x in d.items() if x}
+
+    for d1 in factor:
+        for d2 in factor:
+            yield ExactMatrix.from_entries(6, 6, {**place(d1, 0, 0), **place(d2, 3, 3)})
+    for d in factor:
+        yield ExactMatrix.from_entries(6, 6, {**place(d, 3, 0), **place(d, 0, 3)})
+
+
+def _reference_sigma_failure(g, sigma):
+    """The old per-pair checks on raw coordinates: the form on pairs i <= j,
+    then sigma [b_i, b_j] = [sigma b_i, sigma b_j] on pairs i < j."""
+    n, labels = g.dim, g.labels
+    cols = [sigma.col(j) for j in range(n)]
+
+    def form(x, y):
+        return sum((x[a] * y[b] * g.form[a, b] for a in range(n) for b in range(n)), ZERO)
+
+    def bracket(x, y):
+        return tuple(sum((x[a] * y[b] * g.brackets[a][b][k] for a in range(n)
+                          for b in range(n)), ZERO) for k in range(n))
+
+    for i in range(n):
+        for j in range(i, n):
+            if form(cols[i], cols[j]) != g.form[i, j]:
+                return (f"sigma does not preserve the form on the pair "
+                        f"({labels[i]}, {labels[j]})")
+    for i in range(n):
+        for j in range(i + 1, n):
+            image = tuple(sum((c * cols[k][r] for k, c in enumerate(g.brackets[i][j])),
+                              ZERO) for r in range(n))
+            if image != bracket(cols[i], cols[j]):
+                return (f"sigma is not a Lie algebra automorphism on the pair "
+                        f"({labels[i]}, {labels[j]})")
+    return None
+
+
+def test_sigma_certificates_agree_with_the_per_pair_reference(triple):
+    outcomes = set()
+    for second_factor in (1, 2):
+        g = _with_form(triple.algebra, second_factor)
+        for sigma in _sigma_candidates():
+            want = _reference_sigma_failure(g, sigma)
+            try:
+                TransitiveTriple(g, sigma, triple.theta, triple.h_basis,
+                                 triple.l_basis)
+                got = None
+            except TripleStructureError as exc:
+                got = str(exc)
+            if want is not None:
+                assert got == want
+            else:
+                assert got is None or not re.search("form|automorphism", got)
+            outcomes.add(want.split()[1] if want else "pass")
+    assert outcomes == {"does", "is", "pass"}
+
+
+def test_sigma_preserving_the_form_but_not_the_bracket_is_rejected(triple):
+    # e1 <-> f1 keeps <e1, f1> = 1 but sends [h1, e1] = 2 e1 to 2 f1, not
+    # [h1, f1] = -2 f1
+    n = triple.algebra.dim
+    swap_ef = ExactMatrix.from_entries(
+        n, n, {(0, 0): 1, (2, 1): 1, (1, 2): 1, (3, 3): 1, (4, 4): 1, (5, 5): 1})
+    with pytest.raises(TripleStructureError,
+                       match=r"^sigma is not a Lie algebra automorphism on the "
+                             r"pair \(h1, e1\)$"):
+        TransitiveTriple(triple.algebra, swap_ef, triple.theta,
+                         triple.h_basis, triple.l_basis)
+
+
+def test_swap_of_unequally_scaled_factors_is_not_an_isometry(triple):
+    # F + 2F is invariant and the swap is an automorphism, but <h2, h2> = 4
+    g = _with_form(triple.algebra, 2)
+    with pytest.raises(TripleStructureError,
+                       match=r"^sigma does not preserve the form on the pair "
+                             r"\(h1, h1\)$"):
+        TransitiveTriple(g, triple.sigma, triple.theta, triple.h_basis,
+                         triple.l_basis)
 
 # -- serialization ------------------------------------------------------------------
 
