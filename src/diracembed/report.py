@@ -349,7 +349,7 @@ def spectral_suite(triple, weight: int, truncation: int = 40):
         f"kernel {kernel} differs from {want_kernel}", "fixed-pair-kernel"))
 
     try:
-        blocks = spectral.matched_kernel_blocks(triple, m)
+        blocks = spectral.matched_kernel_blocks(triple, module, kernel)
         ok, blocks_detail = True, (
             "matched blocks "
             + str([(b.right.a, b.right.b, b.spin_ls) for b in blocks])
@@ -371,13 +371,11 @@ def spectral_suite(triple, weight: int, truncation: int = 40):
         f"lowest weight {m} kernel meets total {m - 1} (minus line)",
         f"kernel lines hw={hw} lw={lw}", "weight-module-kernels"))
 
-    # one query per family, shared by the uniqueness check and the table
-    depth = spectral.scan_depth(m)
-    targets = [("highest", -m - 1, "e"), ("lowest", m - 1, "1")]
-    scans = {t: spectral.scan_lines(*t, depth, truncation) for t in targets}
-    hits = [list(scans[t]) for t in targets]
-    met = [{p: [tuple(l) for l in lines] for p, lines in scans[t].items()}
-           for t in targets]
+    # one scan per matched block, shared by the uniqueness check and table
+    scans = spectral.identification_scans(m, truncation)
+    hits = [list(found) for _, found in scans]
+    met = [{p: [tuple(l) for l in lines] for p, lines in found.items()}
+           for _, found in scans]
     results.append(_check(
         "spectral", "scan-uniqueness", hits == [[-m - 2], [m]],
         f"scans hit exactly one module each: highest {hits[0]}, "
@@ -390,8 +388,7 @@ def spectral_suite(triple, weight: int, truncation: int = 40):
     ok, detail = False, blocks_detail
     if blocks is not None:
         try:
-            table = spectral.table_rows(
-                blocks, lambda *target: scans[target])
+            table = spectral.table_rows(blocks, scans)
             ok, detail = table == _expected_table(m), f"table rows {table}"
         except spectral.SpectralError as exc:
             detail = str(exc)

@@ -63,23 +63,13 @@ class PeterWeylBlock(NamedTuple):
     e_weight: int
 
 
-def make_block(a: int, b: int, module: WeightModule = None,
-               spin_ls: str = "1") -> PeterWeylBlock:
-    """Build the block with right label (a, b), validating admissibility.
-
-    With a module given, the forced twist weight -a-b must occur among
-    its weights; without one, the block is purely combinatorial (as in
-    eigenvalue sweeps).
-    """
+def make_block(a: int, b: int, spin_ls: str = "1") -> PeterWeylBlock:
+    """Build the block with right label (a, b) on the named slice spin
+    line; invariance forces the twist weight -a-b."""
     if spin_ls not in ("1", "u"):
         raise SpectralError(f"unknown slice spin line {spin_ls!r}")
-    e_weight = -a - b
-    if module is not None and e_weight not in module.weights:
-        raise SpectralError(
-            f"block ({a},{b}) needs twist weight {e_weight}, which the "
-            f"module does not contain")
     return PeterWeylBlock(CharacterLabel(-a, -b), CharacterLabel(a, b),
-                          spin_ls, e_weight)
+                          spin_ls, -a - b)
 
 
 # -- scalar actions -----------------------------------------------------------
@@ -130,7 +120,7 @@ def even_weight_cancellation(triple, module: WeightModule) -> dict:
             continue                      # a, b would not be integers
         a = (-w - 2) // 2                 # solve a+b = -w, a-b = -2
         b = a + 2
-        blk = make_block(a, b, module)
+        blk = make_block(a, b)
         if not (block_eigenvalue(triple, blk) + cub).is_zero():
             raise SpectralError(
                 f"cancellation fails on the block ({a},{b})")
@@ -285,9 +275,11 @@ def finite_dirac_kernel(triple, module: WeightModule) -> list:
 # -- matched blocks -----------------------------------------------------------
 
 
-def matched_kernel_blocks(triple, m: int):
+def matched_kernel_blocks(triple, module: WeightModule, kernel: list):
     """The two blocks where the embedded operator reduces to the
-    noncompact slice operator, for a twist module of highest weight 2m.
+    noncompact slice operator, for the twist module sl2_irrep(2m) and its
+    finite_dirac_kernel lines: the blocks of its extreme weights 2m (on
+    the slice "u" line) and -2m (on "1").
 
     Checks, exactly: both blocks sit on the cancelled a-b = -2 line; the
     fixed-side kernel pairs twist weight 2m with the +1 spin line and
@@ -295,13 +287,10 @@ def matched_kernel_blocks(triple, m: int):
     of the slice side, both being the +1 line); and the residual term
     annihilates the corresponding lines of the slice fiber.
     """
-    if m < 0:
-        raise SpectralError("the twist parameter must be nonnegative")
-    module = scan_module("finite", 2 * m, 0)
-    blocks = (make_block(-m - 1, -m + 1, module, spin_ls="u"),
-              make_block(m - 1, m + 1, module, spin_ls="1"))
+    m = module.weights[0] // 2
+    blocks = (make_block(-m - 1, -m + 1, spin_ls="u"),
+              make_block(m - 1, m + 1, spin_ls="1"))
     cub = cubic_scalar(triple)
-    kernel = set(finite_dirac_kernel(triple, module))
     ql_names = ql_slot_names(triple)
     res = residual_term(triple, module).terms.get(None)
     for blk in blocks:
@@ -313,22 +302,14 @@ def matched_kernel_blocks(triple, m: int):
         if (blk.e_weight, slot_hs) not in kernel:
             raise SpectralError(
                 f"fixed-side kernel misses ({blk.e_weight}, {slot_hs})")
-        if res is not None:
-            _check_residual_kills(triple, module, res, ql_names, blk)
+        # the residual matrix must be zero on the block's spin (x) weight lines
+        columns = [s * module.dim + i for s, n in ql_names.items()
+                   if n == blk.spin_ls
+                   for i, w in enumerate(module.weights) if w == blk.e_weight]
+        if res is not None and not res.select_columns(columns).is_zero():
+            raise SpectralError(
+                "residual term does not annihilate a matched line")
     return blocks
-
-
-def _check_residual_kills(triple, module, res, ql_names, blk):
-    """The residual matrix must be zero on the block's spin (x) weight lines."""
-    spin_indices = [i for i, n in ql_names.items() if n == blk.spin_ls]
-    weight_indices = [i for i, w in enumerate(module.weights)
-                      if w == blk.e_weight]
-    for s_idx in spin_indices:
-        for e_idx in weight_indices:
-            col = res.col(s_idx * module.dim + e_idx)
-            if any(not x.is_zero() for x in col):
-                raise SpectralError(
-                    "residual term does not annihilate a matched line")
 
 
 # -- the rank-one side and truncated kernels ----------------------------------
@@ -466,30 +447,38 @@ def _dual_row(kind: str, param: int) -> list:
     return ["DS-", -param]
 
 
-def table_rows(blocks, scan) -> list:
+def identification_scans(m: int, n_levels: int) -> list:
+    """(family, scan_lines result) of the line each matched block of twist
+    parameter m prescribes, in block order: the highest weight family at
+    total -m-1 on "e" (the slice "u" of its block; both are the +1 line),
+    then the lowest weight family at total m-1 on "1", each scanned to
+    scan_depth(m) with n_levels levels."""
+    depth = scan_depth(m)
+    return [(kind, scan_lines(kind, total, slot, depth, n_levels))
+            for kind, total, slot in (("highest", -m - 1, "e"),
+                                      ("lowest", m - 1, "1"))]
+
+
+def table_rows(blocks, scans) -> list:
     """Rows [kind, parameter, "C", character] of the kernel identification.
 
-    Each matched block prescribes a torus weight (its first right-label
-    coordinate) and a spin line: "u" is read as "e" in the highest weight
-    family, "1" in the lowest.  The unique member that scan(kind, total,
-    slot), answering as scan_lines does, finds names the first factor; the
-    second coordinate names the character."""
+    The matched blocks and their identification_scans are read pairwise,
+    by position.  The unique member a scan meets names the first factor;
+    the block's second right-label coordinate names the character."""
     rows = []
-    for blk in blocks:
-        kind, slot = (("highest", "e") if blk.spin_ls == "u"
-                      else ("lowest", "1"))
-        target = blk.right.a
-        hits = list(scan(kind, target, slot))
-        if len(hits) != 1:
+    for blk, (kind, met) in zip(blocks, scans, strict=True):
+        if len(met) != 1:
             raise SpectralError(
-                f"scan for total {target} found {len(hits)} members")
-        rows.append(_dual_row(kind, hits[0]) + ["C", -blk.right.b])
+                f"scan for total {blk.right.a} found {len(met)} members")
+        rows.append(_dual_row(kind, *met) + ["C", -blk.right.b])
     return rows
 
 
 def kernel_table(triple, m: int) -> list:
     """The kernel identification table for a twist module of highest
-    weight 2m: table_rows of the matched blocks, each family member
-    scanned to scan_depth(m) with scan_lines at 40 levels."""
-    return table_rows(matched_kernel_blocks(triple, m), lambda *target:
-                      scan_lines(*target, scan_depth(m), 40))
+    weight 2m: table_rows of the matched blocks of sl2_irrep(2m) and its
+    fixed-side kernel, identified by scans at 40 levels."""
+    module = sl2_irrep(2 * m)
+    blocks = matched_kernel_blocks(triple, module,
+                                   finite_dirac_kernel(triple, module))
+    return table_rows(blocks, identification_scans(m, 40))

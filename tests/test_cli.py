@@ -245,11 +245,11 @@ def _count_kernel_solves(monkeypatch):
     return solved, fixed
 
 
-@pytest.mark.parametrize("command, fixed_side", [
-    (["verify", "spectral", "--weight", "10", "--truncation", "120"], 2),
-    (["table64", "--weight", "10"], 1)])
-def test_each_scan_member_is_solved_once_per_command(command, fixed_side,
-                                                     monkeypatch, capsys):
+@pytest.mark.parametrize("command", [
+    ["verify", "spectral", "--weight", "10", "--truncation", "120"],
+    ["table64", "--weight", "10"]])
+def test_each_scan_member_is_solved_once_per_command(command, monkeypatch,
+                                                     capsys):
     solved, fixed = _count_kernel_solves(monkeypatch)
     assert cli.main(command) == 0
     # the members whose target line sits at a level j, built to level j + 2:
@@ -259,10 +259,13 @@ def test_each_scan_member_is_solved_once_per_command(command, fixed_side,
              ("highest", -7, 3), ("lowest", 1, 5), ("lowest", 3, 4),
              ("lowest", 5, 3)]
     # verify also solves the two ds-kernels members at the full truncation
-    ds = [("highest", -7, 121), ("lowest", 5, 121)] if fixed_side == 2 else []
+    ds = [("highest", -7, 121), ("lowest", 5, 121)] \
+        if command[0] == "verify" else []
     assert len(solved) == len(set(solved))
     assert solved == ds + scans
-    assert fixed == [11] * fixed_side
+    # both share one fixed-side kernel between the matched blocks and the
+    # finite-kernel check
+    assert fixed == [11]
 
 
 def test_scan_members_do_not_grow_with_the_truncation(monkeypatch, capsys):
@@ -281,8 +284,9 @@ def test_scan_members_do_not_grow_with_the_truncation(monkeypatch, capsys):
 
 def test_matched_block_failure_fails_the_table_and_spares_the_scans(
         monkeypatch):
-    def broken(triple, m):
-        raise spectral.SpectralError(f"forced failure at m={m}")
+    def broken(triple, module, kernel):
+        raise spectral.SpectralError(
+            f"forced failure at m={module.weights[0] // 2}")
     monkeypatch.setattr(spectral, "matched_kernel_blocks", broken)
     [(_, checks)] = report.run_suites(["spectral"], weight=4)
     status = {c.check: (c.status, c.details) for c in checks}
@@ -326,11 +330,11 @@ def test_scan_uniqueness_failure_names_the_lines_met(monkeypatch):
             met[-5] = met[-4]
         return met
     monkeypatch.setattr(spectral, "scan_lines", doubled)
-    details = _failing_details("spectral", weight=4)
-    assert details["scan-uniqueness"] == (
-        "scan hits, each with the lines (total, slot, level) it met: "
-        "highest {-4: [(-3, 'e', 0)], -5: [(-3, 'e', 0)]}, "
-        "lowest {2: [(1, '1', 0)]}")
+    assert _failing_details("spectral", weight=4) == {
+        "scan-uniqueness": "scan hits, each with the lines (total, slot, "
+                           "level) it met: highest {-4: [(-3, 'e', 0)], "
+                           "-5: [(-3, 'e', 0)]}, lowest {2: [(1, '1', 0)]}",
+        "table-identification": "scan for total -3 found 2 members"}
 
 
 def _degree_two_or_more(elt):

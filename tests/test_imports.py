@@ -47,16 +47,19 @@ def test_building_the_triple_loads_only_its_dependencies():
 @pytest.mark.parametrize("argv, also", [
     (["verify", "embedding", "--weight", "0"],
      {"diracembed.cli", "diracembed.dirac", "diracembed.report"}),
+    (["verify", "spectral", "--weight", "0"],
+     {"diracembed.cli", "diracembed.dirac", "diracembed.report",
+      "diracembed.spectral"}),
     (["table64", "--weight", "0"],
      {"diracembed.cli", "diracembed.dirac", "diracembed.spectral"}),
-], ids=["verify-embedding", "table64"])
+], ids=["verify-embedding", "verify-spectral", "table64"])
 def test_commands_load_only_what_they_run(argv, also, tmp_path):
     out = tmp_path / "out.txt"
     loaded = loaded_after(f"import diracembed.cli\n"
                           f"diracembed.cli.main({argv + ['--out', str(out)]!r})")
     assert out.read_text(encoding="utf-8")
     # verify embedding never compiles spectral.py, table64 never report.py,
-    # and neither the triple's text format
+    # and none of them the triple's text format
     assert loaded == TRIPLE_MODULES | also
 
 

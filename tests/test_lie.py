@@ -82,6 +82,18 @@ def test_constructor_rejects_wrong_length_bracket_vectors(short_or_long):
         LieAlgebra(g.labels, bad, g.form)
 
 
+def test_bracket_rejects_wrong_length_vectors():
+    with pytest.raises(ValueError, match=r"^vector has 2 coordinates, but "
+                                         r"the algebra has dim 3$"):
+        sl2().bracket(vec((1, 0)), vec((0, 1)))
+
+
+def test_form_value_rejects_wrong_length_vectors():
+    with pytest.raises(ValueError, match=r"^vector has 1 coordinates, but "
+                                         r"the algebra has dim 3$"):
+        sl2().form_value(vec((1,)), vec((1,)))
+
+
 # -- independent oracle for the Jacobi and invariance certificates ----------------
 # The library checks both as identities of the adjoint matrices; the reference
 # below is the per-basis-triple check on the raw table, with its own bracket.

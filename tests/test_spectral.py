@@ -38,11 +38,9 @@ def test_character_scalars():
 
 
 def test_make_block_forces_the_twist_weight():
-    blk = make_block(1, 1, sl2_irrep(2))
+    blk = make_block(1, 1)
     assert blk.e_weight == -2
     assert blk.left == CharacterLabel(-1, -1)
-    with pytest.raises(SpectralError):
-        make_block(1, 0, sl2_irrep(0))  # needs weight -1, module has 0
     with pytest.raises(SpectralError):
         make_block(0, 0, spin_ls="x")
 
@@ -196,16 +194,22 @@ def test_swapped_duals_produce_a_different_kernel(triple):
 
 # -- matched blocks -----------------------------------------------------------------
 
+def _matched_blocks(triple, m):
+    module = sl2_irrep(2 * m)
+    return matched_kernel_blocks(triple, module,
+                                 finite_dirac_kernel(triple, module))
+
+
 def test_matched_blocks_for_small_parameters(triple):
-    b0 = matched_kernel_blocks(triple, 0)
+    b0 = _matched_blocks(triple, 0)
     assert [(b.right.a, b.right.b, b.spin_ls) for b in b0] == \
         [(-1, 1, "u"), (-1, 1, "1")]
-    b2 = matched_kernel_blocks(triple, 2)
+    b2 = _matched_blocks(triple, 2)
     assert [(b.right.a, b.right.b, b.spin_ls) for b in b2] == \
         [(-3, -1, "u"), (1, 3, "1")]
     assert [b.e_weight for b in b2] == [4, -4]
-    with pytest.raises(SpectralError):
-        matched_kernel_blocks(triple, -1)
+    with pytest.raises(ValueError, match="nonnegative"):
+        _matched_blocks(triple, -1)
 
 
 # -- truncated kernels ----------------------------------------------------------------
