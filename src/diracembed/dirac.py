@@ -15,7 +15,8 @@ module action of Y on the twist.
 """
 
 from .scalars import ExactMatrix, coerce, ONE, SQRT2
-from .lie import vec_sub, vec_scale, vec_combination, vec_is_zero, unit_vector
+from .lie import (vec_sub, vec_scale, vec_combination, vec_is_zero,
+                  unit_vector, matrix_combination)
 from .triple import solve_in_span
 
 
@@ -109,26 +110,11 @@ class FormalDiracElement:
 # -- twist actions ------------------------------------------------------------
 
 
-def beta_action(triple, module, y):
-    """Action on the twist module of an element y of the fixed subalgebra.
-
-    The triple's h-module map sends each h-basis vector to a coordinate
-    vector over the module's algebra; y is expanded over the h-basis and
-    pushed through.
-    """
-    rows = _module_map(triple, module.algebra)
-    coords = solve_in_span(triple.h_basis, tuple(coerce(c) for c in y))
-    if coords is None:
-        raise ValueError("vector is not in the fixed subalgebra")
-    return module.action(vec_combination(coords, rows, module.algebra.dim))
-
-
-def _module_map(triple, algebra):
-    """The rows of the triple's h-module map, checked against the algebra
-    its modules live over: each row has algebra.dim entries, and the map
-    carries the bracket of any two h basis vectors to the bracket of
-    their images.  Raises a ValueError naming the row or the pair."""
-    rows = triple.h_module_map
+def _twist_actions(triple, module):
+    """beta(h_i) for each h basis vector h_i, once the h-module map is
+    checked: each row has module.algebra.dim entries, and brackets of h
+    basis vectors go to brackets of their images (a ValueError otherwise)."""
+    rows, algebra = triple.h_module_map, module.algebra
     if rows is None:
         raise ValueError("the triple carries no h-module map")
     for idx, row in enumerate(rows):
@@ -140,20 +126,34 @@ def _module_map(triple, algebra):
                 algebra.bracket(rows[i], rows[j]):
             raise ValueError(f"hmodule does not carry the bracket of "
                              f"h {i} and h {j} to that of their images")
-    return rows
+    return [module.action(row) for row in rows]
 
 
-def fiber_action(triple, module, y):
-    """The action of y in h on the fiber S (x) E of the induced bundle.
+def _h_coords(triple, y):
+    """Coordinates of y over the h basis; a ValueError when y is not in h."""
+    coords = solve_in_span(triple.h_basis, tuple(coerce(c) for c in y))
+    if coords is None:
+        raise ValueError("vector is not in the fixed subalgebra")
+    return coords
 
-    gamma of the degree-two image of y acts on the spinor factor, and the
-    module action of y acts on the twist factor.
-    """
+
+def beta_action(triple, module, y):
+    """Action on the twist module of an element y of the fixed subalgebra:
+    the combination of the beta(h_i) by the h coordinates of y."""
+    betas = _twist_actions(triple, module)
+    return matrix_combination(_h_coords(triple, y), betas, module.dim)
+
+
+def _fiber_actions(triple, module):
+    """The action  gamma(alpha h_i) (x) 1 + 1 (x) beta(h_i)  of each h basis
+    vector h_i on the fiber S (x) E of the induced bundle: gamma of its
+    degree-two image on the spinor factor, its module action on the twist."""
     spin = triple.spin_ql
-    gamma_part = spin.gamma(triple.pair_g_h.alpha(y))
-    return (gamma_part.kron(ExactMatrix.identity(module.dim))
-            + ExactMatrix.identity(spin.dim).kron(beta_action(triple,
-                                                              module, y)))
+    ident_e = ExactMatrix.identity(module.dim)
+    ident_s = ExactMatrix.identity(spin.dim)
+    return [spin.gamma(triple.pair_g_h.alpha(y)).kron(ident_e)
+            + ident_s.kron(beta)
+            for y, beta in zip(triple.h_basis, _twist_actions(triple, module))]
 
 
 # -- the two sides of the embedding ------------------------------------------
@@ -183,24 +183,6 @@ def geometric_dirac_element(triple, module):
                        range(triple.pair_g_h.space.dim))
 
 
-def hat_dirac_slice(triple, module):
-    """Non-cubic Dirac element of the slice pair, on the shared fiber."""
-    return _signed_sum(triple, module, triple.pair_l_lh,
-                       range(triple.space_ql.dim))
-
-
-def dirac_compact_slice(triple, module):
-    """Dirac element of the compact slice sub-pair (the Z-part only)."""
-    return _signed_sum(triple, module, triple.pair_l_lh,
-                       range(len(triple.zq_basis)))
-
-
-def dirac_noncompact_slice(triple, module):
-    """Dirac element of the noncompact slice sub-pair (the T-part only)."""
-    return _signed_sum(triple, module, triple.pair_l_lh,
-                       range(len(triple.zq_basis), triple.space_ql.dim))
-
-
 def cubic_term(triple, module):
     """Unit-symbol element  1 (x) gamma(c) (x) 1  for the slice cubic c."""
     spin = triple.spin_ql
@@ -218,14 +200,13 @@ def residual_term(triple, module):
     of the slice complement.
     """
     spin = triple.spin_ql
-    size = spin.dim * module.dim
-    out = FormalDiracElement.zero(triple.algebra, size)
+    betas = _twist_actions(triple, module)
+    out = FormalDiracElement.zero(triple.algebra, spin.dim * module.dim)
     nz = len(triple.zq_basis)
-    for k, t_vec in enumerate(triple.t_basis):
-        sign = coerce(triple.space_ql.signs[nz + k])
-        matrix = spin.gamma_generator(nz + k).kron(
-            beta_action(triple, module, triple.rho_plus_t[k]) * sign)
-        out = out.add_unit(matrix)
+    for k, rho_t in enumerate(triple.rho_plus_t):
+        beta = matrix_combination(_h_coords(triple, rho_t), betas, module.dim)
+        out = out.add_unit(spin.gamma_generator(nz + k).kron(
+            beta * coerce(triple.space_ql.signs[nz + k])))
     return out
 
 
@@ -237,30 +218,29 @@ def assemble_rhs(triple, module, form, cubic_coefficient=None):
         sqrt2 D_slice + (1 - sqrt2) D_compact
             + (sqrt2 - 2) cubic + residual,
 
-    where D_slice already carries a -cubic summand.  Form 2 splits off the
-    noncompact part instead:
+    where D_slice = D_compact + D_noncompact - cubic.  Form 2 splits off
+    the noncompact part instead:
 
         sqrt2 D_noncompact + D_compact - 2 cubic + residual.
 
     Both expand to the same element.  cubic_coefficient overrides the
     standalone cubic coefficient (sqrt2 - 2 in form 1, -2 in form 2).
     """
+    if form not in (1, 2):
+        raise ValueError("form must be 1 or 2")
+    nz = len(triple.zq_basis)
+    compact = _signed_sum(triple, module, triple.pair_l_lh, range(nz))
+    noncompact = _signed_sum(triple, module, triple.pair_l_lh,
+                             range(nz, triple.space_ql.dim))
     cub = cubic_term(triple, module)
     res = residual_term(triple, module)
+    if cubic_coefficient is None:
+        cubic_coefficient = SQRT2 - coerce(2) if form == 1 else -coerce(2)
+    tail = cub.scaled(cubic_coefficient) + res
     if form == 1:
-        slice_cubic = hat_dirac_slice(triple, module) - cub
-        coeff = (SQRT2 - coerce(2) if cubic_coefficient is None
-                 else coerce(cubic_coefficient))
-        return (slice_cubic.scaled(SQRT2)
-                + dirac_compact_slice(triple, module).scaled(ONE - SQRT2)
-                + cub.scaled(coeff) + res)
-    if form == 2:
-        coeff = (-coerce(2) if cubic_coefficient is None
-                 else coerce(cubic_coefficient))
-        return (dirac_noncompact_slice(triple, module).scaled(SQRT2)
-                + dirac_compact_slice(triple, module)
-                + cub.scaled(coeff) + res)
-    raise ValueError("form must be 1 or 2")
+        return ((compact + noncompact - cub).scaled(SQRT2)
+                + compact.scaled(ONE - SQRT2) + tail)
+    return noncompact.scaled(SQRT2) + compact + tail
 
 
 # -- rewriting ambient symbols into slice symbols ------------------------------
@@ -273,19 +253,17 @@ def transfer(triple, element, module):
     q-part is the isometric image of a slice complement vector X, which in
     turn satisfies  image(X) = d_nu X - rho_plus(X)  on each weight piece.
     The slice summand d_nu X stays a symbol; every h-part Y turns into the
-    unit symbol with matrix  - M . fiber_action(Y).
+    unit symbol with matrix  - M . F(Y), with F(Y) the fiber action of Y:
+    the combination of the fiber actions of the h basis by Y's coordinates.
     """
     g = triple.algebra
-    n = g.dim
+    nh = len(triple.h_basis)
     hq_matrix = ExactMatrix.from_columns(triple.h_basis + triple.q_basis,
-                                         n).inverse()
+                                         g.dim).inverse()
     slice_basis = triple.zq_basis + triple.t_basis
     weights = [triple.d[triple.nu_of(b)] for b in slice_basis]
-    # h-part of a vector: its h-coordinates over h_basis, less its slice
-    # coordinates over rho_plus of the slice basis
-    h_span = triple.h_basis + [vec_scale(-ONE, triple.rho(1, b))
-                               for b in slice_basis]
-    nh = len(triple.h_basis)
+    rho_plus = [_h_coords(triple, triple.rho(1, b)) for b in slice_basis]
+    fibers = _fiber_actions(triple, module)
 
     out = FormalDiracElement.zero(g, element.matrix_size)
     for key, matrix in element.terms.items():
@@ -296,11 +274,33 @@ def transfer(triple, element, module):
         for c, d, b in zip(coords[nh:], weights, slice_basis):
             if not c.is_zero():
                 out = out.add_symbol(vec_scale(c * d, b), matrix)
-        h_part = vec_combination(coords, h_span, n)
+        # h coordinates of the h-part: coords[:nh] - sum_j c_j rho_plus(b_j)
+        h_part = vec_sub(coords[:nh],
+                         vec_combination(coords[nh:], rho_plus, nh))
         if not vec_is_zero(h_part):
-            out = out.add_unit(
-                (matrix @ fiber_action(triple, module, h_part)) * (-ONE))
+            fiber = matrix_combination(h_part, fibers, element.matrix_size)
+            out = out.add_unit((matrix @ fiber) * (-ONE))
     return out
+
+
+def _invariance_defect(triple, element, module):
+    """The first h basis index i, with the names of the symbols where the
+    bracket and commutator terms of h_i fail to cancel; None if none fails."""
+    g = triple.algebra
+    zero = FormalDiracElement.zero(g, element.matrix_size)
+    for i, (y, fib) in enumerate(zip(triple.h_basis,
+                                     _fiber_actions(triple, module))):
+        acc = zero
+        for key, m in element.terms.items():
+            comm = fib @ m - m @ fib
+            if key is None:
+                acc = acc.add_unit(comm)
+            else:
+                e = unit_vector(g.dim, key)
+                acc = acc.add_symbol(g.bracket(y, e), m).add_symbol(e, comm)
+        if acc.terms:
+            return i, ", ".join(acc.describe_difference(zero))
+    return None
 
 
 def is_invariant_element(triple, element, module):
@@ -311,21 +311,7 @@ def is_invariant_element(triple, element, module):
 
         sum_v [Y, v] (x) M_v + sum_v v (x) [fiber(Y), M_v] = 0.
     """
-    g = triple.algebra
-    size = element.matrix_size
-    for y in triple.h_basis:
-        fib = fiber_action(triple, module, y)
-        acc = FormalDiracElement.zero(g, size)
-        for key, m in element.terms.items():
-            comm = fib @ m - m @ fib
-            if key is None:
-                acc = acc.add_unit(comm)
-            else:
-                e = unit_vector(g.dim, key)
-                acc = acc.add_symbol(g.bracket(y, e), m).add_symbol(e, comm)
-        if acc.terms:
-            return False
-    return True
+    return _invariance_defect(triple, element, module) is None
 
 
 # -- full verification ---------------------------------------------------------
@@ -339,28 +325,37 @@ def verify_embedding(triple, module):
     the right side, reporting any symbol where they disagree.
     """
     rows = []
-    ok = all(vec_is_zero(vec_sub(triple.rho(-1, z), z))
-             for z in triple.zq_basis)
-    rows.append(("compact-part-fixed", ok,
-                 "rho_minus restricts to the identity on the Z-part"))
+    rho = triple.rho
+    for name, labels, vectors, defect, passing, failing in (
+            ("compact-part-fixed", triple.z_labels, triple.zq_basis,
+             lambda v: vec_sub(rho(-1, v), v),
+             "rho_minus restricts to the identity on the Z-part",
+             "rho_minus moves {}"),
+            ("compact-part-killed", triple.z_labels, triple.zq_basis,
+             lambda v: rho(1, v), "rho_plus vanishes on the Z-part",
+             "rho_plus does not vanish on {}"),
+            ("noncompact-part-split", triple.t_labels, triple.t_basis,
+             lambda v: vec_sub(rho(-1, v),
+                               vec_sub(vec_scale(SQRT2, v), rho(1, v))),
+             "rho_minus T = sqrt2 T - rho_plus T on the T-part",
+             "rho_minus {0} != sqrt2 {0} - rho_plus {0}")):
+        bad = next((lbl for lbl, v in zip(labels, vectors)
+                    if not vec_is_zero(defect(v))), None)
+        rows.append((name, bad is None,
+                     passing if bad is None else failing.format(bad)))
 
-    ok = all(vec_is_zero(triple.rho(1, z)) for z in triple.zq_basis)
-    rows.append(("compact-part-killed", ok,
-                 "rho_plus vanishes on the Z-part"))
-
-    ok = all(vec_is_zero(vec_sub(triple.rho(-1, b), vec_sub(
-        vec_scale(SQRT2, b), triple.rho(1, b)))) for b in triple.t_basis)
-    rows.append(("noncompact-part-split", ok,
-                 "rho_minus T = sqrt2 T - rho_plus T on the T-part"))
-
-    rows.append(("isometric-complement", triple.rho_is_isometry(),
-                 "rho_minus preserves all complement pairings"))
+    ok = triple.rho_is_isometry()
+    rows.append(("isometric-complement", ok,
+                 "rho_minus preserves all complement pairings" if ok else
+                 "rho_minus breaks a complement pairing"))
 
     lhs = geometric_dirac_element(triple, module)
     ok = is_invariant_element(triple, lhs, module)
     rows.append(("ambient-invariance", ok,
                  "the ambient Dirac element commutes with the fixed "
-                 "subalgebra"))
+                 "subalgebra" if ok else
+                 "the ambient Dirac element does not commute with h {} at "
+                 "symbols: {}".format(*_invariance_defect(triple, lhs, module))))
 
     moved = transfer(triple, lhs, module)
     forms = {form: assemble_rhs(triple, module, form) for form in (1, 2)}

@@ -141,6 +141,8 @@ def grading_element(triple):
     Torus weights of spin lines are measured against this element, so the
     naming is independent of any basis normalization inside the triple.
     """
+    if triple.h_module_map is None:
+        raise SpectralError("the triple carries no h-module map")
     size = len(triple.h_module_map[0])
     target = unit_vector(size, 0)
     coords = solve_in_span([vec(img) for img in triple.h_module_map], target)
@@ -287,6 +289,9 @@ def matched_kernel_blocks(triple, module: WeightModule, kernel: list):
     of the slice side, both being the +1 line); and the residual term
     annihilates the corresponding lines of the slice fiber.
     """
+    if module.kind != "finite" or module.weights[0] % 2:
+        raise SpectralError(f"matched blocks need sl2_irrep(2m), not a "
+                            f"{module.kind} module from weight {module.weights[0]}")
     m = module.weights[0] // 2
     blocks = (make_block(-m - 1, -m + 1, spin_ls="u"),
               make_block(m - 1, m + 1, spin_ls="1"))

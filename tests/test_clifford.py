@@ -186,3 +186,21 @@ def test_reductive_pair_rejects_wrong_length_vectors():
                        match=r"^acting vector 0 has 4 coordinates, not 3$"):
         ReductivePair(g, [(ONE, ZERO, ZERO, ZERO)], [(INV_SQRT2, ZERO, ZERO)],
                       ("H",))
+
+
+def test_reductive_pair_rejects_a_complement_vector_of_wrong_norm():
+    g = sl2()
+    x1 = vec_scale(INV_SQRT2, (ZERO, ONE, ONE))
+    x2 = vec_scale(I * INV_SQRT2, (ZERO, ONE, -ONE))
+    with pytest.raises(ValueError,
+                       match=r"^complement vector P1 has norm 2, not \+-1$"):
+        ReductivePair(g, [unit_vector(3, 0)], [vec_scale(SQRT2, x1), x2],
+                      ("P1", "P2"))
+
+
+def test_reductive_pair_rejects_complement_vectors_not_orthogonal():
+    g = sl2()
+    x1 = vec_scale(INV_SQRT2, (ZERO, ONE, ONE))
+    with pytest.raises(ValueError,
+                       match=r"^complement vectors P1, P2 not orthogonal$"):
+        ReductivePair(g, [unit_vector(3, 0)], [x1, x1], ("P1", "P2"))

@@ -4,6 +4,7 @@ from fractions import Fraction
 
 import pytest
 
+from diracembed import dirac
 from diracembed import (ExactMatrix, FormalDiracElement, I, INV_SQRT2, ONE,
                         ReductivePair, SQRT2, SpinModule, ZERO,
                         algebraic_dirac, assemble_rhs, beta_action,
@@ -67,6 +68,56 @@ def test_ambient_dirac_element_is_invariant(triple):
         module = sl2_irrep(n)
         elt = geometric_dirac_element(triple, module)
         assert is_invariant_element(triple, elt, module)
+
+
+def _with_a_symbol_dropped(triple, module, key):
+    elt = geometric_dirac_element(triple, module)
+    terms = {k: m for k, m in elt.terms.items() if k != key}
+    return FormalDiracElement(triple.algebra, elt.matrix_size, terms)
+
+
+def test_invariance_rejects_an_element_with_a_symbol_dropped(triple,
+                                                              monkeypatch):
+    module = sl2_irrep(2)
+    broken = _with_a_symbol_dropped(triple, module, 1)   # drop e1
+    assert not is_invariant_element(triple, broken, module)
+    monkeypatch.setattr(dirac, "geometric_dirac_element",
+                        lambda t, m: broken)
+    rows = {name: (ok, details)
+            for name, ok, details in verify_embedding(triple, module)}
+    assert rows["ambient-invariance"] == (
+        False, "the ambient Dirac element does not commute with h 1 at "
+               "symbols: e1")
+
+
+def test_failing_structure_rows_name_the_first_failing_case(monkeypatch):
+    triple = build_sl2_triple()
+    module = sl2_irrep(2)
+    rho = triple.rho
+    zero = (ZERO,) * triple.algebra.dim
+
+    def details():
+        return {name: (ok, text) for name, ok, text
+                in verify_embedding(triple, module)[:4]}
+
+    monkeypatch.setattr(triple, "rho", lambda sign, x: zero)
+    monkeypatch.setattr(triple, "rho_is_isometry", lambda: False)
+    assert details() == {
+        "compact-part-fixed": (False, "rho_minus moves Z"),
+        "compact-part-killed": (True, "rho_plus vanishes on the Z-part"),
+        "noncompact-part-split": (
+            False, "rho_minus T1 != sqrt2 T1 - rho_plus T1"),
+        "isometric-complement": (
+            False, "rho_minus breaks a complement pairing")}
+    # rho_plus sends everything to h_0, which lies in h but is not zero
+    monkeypatch.setattr(triple, "rho", lambda sign, x:
+                        triple.h_basis[0] if sign == 1 else rho(sign, x))
+    rows = details()
+    assert rows["compact-part-fixed"][0]
+    assert rows["compact-part-killed"] == (
+        False, "rho_plus does not vanish on Z")
+    assert rows["noncompact-part-split"] == (
+        False, "rho_minus T1 != sqrt2 T1 - rho_plus T1")
 
 
 def test_cubic_term_matrix(triple):

@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 from diracembed import spectral
 from diracembed import (CharacterLabel, ExactMatrix, ExactScalar, I,
                         INV_SQRT2, KernelLine, LieAlgebra, ONE, SpectralError,
-                        SpinModule, ZERO, algebraic_dirac, beta_action, block_eigenvalue, build_sl2_triple, coerce,
+                        SpinModule, TransitiveTriple, ZERO, algebraic_dirac, beta_action, block_eigenvalue, build_sl2_triple, coerce,
                         compact_generator_scalar, cubic_scalar,
                         even_weight_cancellation, finite_dirac_kernel,
                         grading_element, highest_weight_module,
@@ -87,6 +87,26 @@ def test_even_weight_cancellation_families(triple, n):
 def test_grading_element_is_the_diagonal_cartan(triple):
     got = grading_element(triple)
     assert vec_is_zero(vec_sub(got, triple.h_basis[0]))
+
+
+@pytest.fixture(scope="module")
+def unmapped(triple):
+    """The sl2 triple built without an h-module map."""
+    return TransitiveTriple(triple.algebra, triple.sigma, triple.theta,
+                            triple.h_basis, triple.l_basis,
+                            zq_basis=triple.zq_basis, t_basis=triple.t_basis)
+
+
+def test_hs_slot_names_need_an_h_module_map(unmapped):
+    with pytest.raises(ValueError,
+                       match="^the triple carries no h-module map$"):
+        hs_slot_names(unmapped)
+
+
+def test_ql_slot_names_need_an_h_module_map(unmapped):
+    with pytest.raises(ValueError,
+                       match="^the triple carries no h-module map$"):
+        ql_slot_names(unmapped)
 
 
 def test_slot_names_follow_computed_weights(triple):
@@ -210,6 +230,16 @@ def test_matched_blocks_for_small_parameters(triple):
     assert [b.e_weight for b in b2] == [4, -4]
     with pytest.raises(ValueError, match="nonnegative"):
         _matched_blocks(triple, -1)
+
+
+def test_matched_blocks_reject_a_module_other_than_an_even_irrep(triple):
+    odd = sl2_irrep(3)
+    with pytest.raises(SpectralError,
+                       match="^matched blocks need sl2_irrep\\(2m\\), not a "
+                             "finite module from weight 3$"):
+        matched_kernel_blocks(triple, odd, finite_dirac_kernel(triple, odd))
+    with pytest.raises(SpectralError, match="not a lowest module from weight 4$"):
+        matched_kernel_blocks(triple, lowest_weight_module(4, 6), [])
 
 
 # -- truncated kernels ----------------------------------------------------------------
