@@ -3,8 +3,9 @@
 A FormalDiracElement is a finite sum  sum_v  v (x) M_v  where each symbol v
 is a first-order element of the ambient Lie algebra (or the unit), and M_v
 is an exact matrix acting on the internal space S (x) E (spinors tensored
-with the twisting module).  Symbols are stored expanded over the ambient
-basis, so two elements are equal exactly when their term maps coincide.
+with the twisting module).  It is stored as one block row [M_unit | M_0 |
+... | M_{n-1}] over the ambient basis, so v (x) M is the row (0 | v) kron M,
+and a map X on symbols acts on an element E as E (X (x) 1).
 
 The transfer map rewrites an element whose symbols lie in the orthogonal
 complement q of the fixed subalgebra h into one whose symbols lie in the
@@ -14,97 +15,79 @@ action is gamma of the degree-two image of Y on the spinor factor plus the
 module action of Y on the twist.
 """
 
-from .scalars import ExactMatrix, coerce, ONE, SQRT2
+from .scalars import ExactMatrix, coerce, ZERO, ONE, SQRT2
 from .lie import (vec_sub, vec_scale, vec_combination, vec_is_zero,
                   unit_vector, matrix_combination)
 from .triple import solve_in_span
 
 
 class FormalDiracElement:
-    """First-order symbols over an ambient algebra, tensored with matrices.
+    """First-order symbols over an ambient algebra, tensored with matrices:
+    blocks is [M_unit | M_0 | ... | M_{n-1}], n the algebra's dimension."""
 
-    terms maps an ambient basis index (or None for the unit symbol) to the
-    matrix it is tensored with; zero matrices are dropped, so equality of
-    term maps is equality of elements.
-    """
-
-    def __init__(self, algebra, matrix_size, terms=None):
+    def __init__(self, algebra, matrix_size, blocks):
+        if blocks.shape != (matrix_size, (algebra.dim + 1) * matrix_size):
+            raise ValueError(f"a {blocks.shape} block row does not hold "
+                             f"{algebra.dim + 1} blocks of size {matrix_size}")
         self.algebra = algebra
         self.matrix_size = matrix_size
-        clean = {}
-        for key, m in (terms or {}).items():
-            if key is not None and not (0 <= key < algebra.dim):
-                raise ValueError(f"symbol index {key} out of range")
-            if m.shape != (matrix_size, matrix_size):
-                raise ValueError("matrix has the wrong size")
-            if not m.is_zero():
-                clean[key] = m
-        self.terms = clean
+        self.blocks = blocks
 
     @classmethod
-    def zero(cls, algebra, matrix_size):
-        return cls(algebra, matrix_size, {})
-
-    def _require_compatible(self, other):
-        if self.algebra is not other.algebra and self.algebra != other.algebra:
-            raise ValueError("elements live over different algebras")
-        if self.matrix_size != other.matrix_size:
-            raise ValueError("elements act on different internal spaces")
-
-    def _plus(self, pairs):
-        """self + sum of key (x) matrix over the (key, matrix) pairs; the
-        constructor drops the terms that cancel."""
-        terms = dict(self.terms)
-        for key, m in pairs:
-            terms[key] = terms[key] + m if key in terms else m
-        return FormalDiracElement(self.algebra, self.matrix_size, terms)
-
-    def add_symbol(self, vector, matrix):
-        """self + (vector symbol) (x) matrix, expanding over the basis."""
-        return self._plus((i, matrix * c) for i, c in enumerate(vector)
-                          if not c.is_zero())
-
-    def add_unit(self, matrix):
-        return self._plus([(None, matrix)])
+    def symbol(cls, algebra, vector, matrix):
+        """The element vector (x) matrix; the unit symbol when vector is None."""
+        row = (ONE,) + (ZERO,) * algebra.dim if vector is None \
+            else (ZERO,) + tuple(vector)
+        if len(row) != algebra.dim + 1:
+            raise ValueError(f"symbol has {len(row) - 1} coordinates, but "
+                             f"the algebra has dim {algebra.dim}")
+        return cls(algebra, matrix.nrows, ExactMatrix([row]).kron(matrix))
 
     def __add__(self, other):
-        self._require_compatible(other)
-        return self._plus(other.terms.items())
+        return FormalDiracElement(self.algebra, self.matrix_size,
+                                  self.blocks + other.blocks)
 
     def __sub__(self, other):
-        return self + other.scaled(-ONE)
+        return FormalDiracElement(self.algebra, self.matrix_size,
+                                  self.blocks - other.blocks)
 
     def scaled(self, s):
-        s = coerce(s)
         return FormalDiracElement(self.algebra, self.matrix_size,
-                                  {k: m * s for k, m in self.terms.items()})
+                                  self.blocks * coerce(s))
 
     def __eq__(self, other):
         if not isinstance(other, FormalDiracElement):
             return NotImplemented
-        return (self.algebra == other.algebra
-                and self.matrix_size == other.matrix_size
-                and self.terms == other.terms)
+        return self.algebra == other.algebra and self.blocks == other.blocks
 
-    def symbol_keys(self):
-        """Symbol indices present, with None (the unit) sorted first."""
-        return sorted(self.terms, key=lambda k: (-1 if k is None else k))
+    def block(self, key):
+        """The matrix of ambient basis symbol key, or of the unit for None."""
+        if key is not None and not 0 <= key < self.algebra.dim:
+            raise ValueError(f"symbol index {key} out of range")
+        start = 0 if key is None else (key + 1) * self.matrix_size
+        return self.blocks.select_columns(range(start,
+                                                start + self.matrix_size))
 
     def describe_difference(self, other):
-        """Names of the symbols where the two elements disagree."""
-        self._require_compatible(other)
-        names = []
-        for key in sorted(set(self.terms) | set(other.terms),
-                          key=lambda k: (-1 if k is None else k)):
-            if self.terms.get(key) != other.terms.get(key):
-                names.append("unit" if key is None else
-                             self.algebra.labels[key])
-        return names
+        """Names of the symbols where the two elements disagree, unit first."""
+        return _symbol_names(self.algebra, self.matrix_size,
+                             self.blocks - other.blocks)
 
-    def __repr__(self):
-        keys = ", ".join("1" if k is None else self.algebra.labels[k]
-                         for k in self.symbol_keys())
-        return f"FormalDiracElement({keys or '0'})"
+
+def _symbol_names(algebra, size, blocks):
+    """Names of the symbols whose blocks hold an entry, unit first."""
+    keys = sorted({j // size for (_, j), _ in blocks.items()})
+    return [algebra.labels[k - 1] if k else "unit" for k in keys]
+
+
+def _on_symbols(matrix, unit=None):
+    """The X for which E (X (x) 1) moves the symbols of E: row k + 1 is
+    column k of matrix, the image of symbol e_k, and row 0 (the unit) is
+    zero; a scalar unit adds a first column, sending the unit to unit 1."""
+    columns = [(ZERO,) + row for row in matrix.rows]
+    if unit is not None:
+        columns.insert(0, (unit,) + (ZERO,) * matrix.ncols)
+    return ExactMatrix.from_columns(columns, matrix.ncols + 1)
 
 
 # -- twist actions ------------------------------------------------------------
@@ -137,11 +120,13 @@ def _h_coords(triple, y):
     return coords
 
 
-def beta_action(triple, module, y):
-    """Action on the twist module of an element y of the fixed subalgebra:
-    the combination of the beta(h_i) by the h coordinates of y."""
+def beta_action(triple, module, vectors):
+    """Action on the twist module of each of the vectors, elements of the
+    fixed subalgebra: the combination of the beta(h_i) by its h
+    coordinates.  The h-module map is checked once for all of them."""
     betas = _twist_actions(triple, module)
-    return matrix_combination(_h_coords(triple, y), betas, module.dim)
+    return [matrix_combination(_h_coords(triple, y), betas, module.dim)
+            for y in vectors]
 
 
 def _fiber_actions(triple, module):
@@ -162,12 +147,13 @@ def _fiber_actions(triple, module):
 def _signed_sum(triple, module, pair, indices):
     """sum over the chosen complement vectors b_j of the pair of
     <b_j,b_j> b_j (x) gamma_j (x) 1, with gamma_j the j-th slice generator."""
-    spin = triple.spin_ql
-    out = FormalDiracElement.zero(triple.algebra, spin.dim * module.dim)
+    g, spin = triple.algebra, triple.spin_ql
+    size = spin.dim * module.dim
+    out = FormalDiracElement.symbol(g, None, ExactMatrix.zeros(size, size))
     ident = ExactMatrix.identity(module.dim)
     for j in indices:
-        out = out.add_symbol(
-            vec_scale(pair.space.signs[j], pair.complement_basis[j]),
+        out = out + FormalDiracElement.symbol(
+            g, vec_scale(pair.space.signs[j], pair.complement_basis[j]),
             spin.gamma_generator(j).kron(ident))
     return out
 
@@ -185,11 +171,9 @@ def geometric_dirac_element(triple, module):
 
 def cubic_term(triple, module):
     """Unit-symbol element  1 (x) gamma(c) (x) 1  for the slice cubic c."""
-    spin = triple.spin_ql
-    size = spin.dim * module.dim
-    matrix = spin.gamma(triple.pair_l_lh.cubic_element()).kron(
+    matrix = triple.spin_ql.gamma(triple.pair_l_lh.cubic_element()).kron(
         ExactMatrix.identity(module.dim))
-    return FormalDiracElement.zero(triple.algebra, size).add_unit(matrix)
+    return FormalDiracElement.symbol(triple.algebra, None, matrix)
 
 
 def residual_term(triple, module):
@@ -199,15 +183,12 @@ def residual_term(triple, module):
     module, under the isometry identifying h cap s with the noncompact part
     of the slice complement.
     """
-    spin = triple.spin_ql
-    betas = _twist_actions(triple, module)
-    out = FormalDiracElement.zero(triple.algebra, spin.dim * module.dim)
-    nz = len(triple.zq_basis)
-    for k, rho_t in enumerate(triple.rho_plus_t):
-        beta = matrix_combination(_h_coords(triple, rho_t), betas, module.dim)
-        out = out.add_unit(spin.gamma_generator(nz + k).kron(
-            beta * coerce(triple.space_ql.signs[nz + k])))
-    return out
+    spin, nz = triple.spin_ql, len(triple.zq_basis)
+    matrix = ExactMatrix.zeros(spin.dim * module.dim, spin.dim * module.dim)
+    for k, beta in enumerate(beta_action(triple, module, triple.rho_plus_t)):
+        matrix = matrix + spin.gamma_generator(nz + k).kron(
+            beta * coerce(triple.space_ql.signs[nz + k]))
+    return FormalDiracElement.symbol(triple.algebra, None, matrix)
 
 
 def assemble_rhs(triple, module, form, cubic_coefficient=None):
@@ -253,53 +234,46 @@ def transfer(triple, element, module):
     q-part is the isometric image of a slice complement vector X, which in
     turn satisfies  image(X) = d_nu X - rho_plus(X)  on each weight piece.
     The slice summand d_nu X stays a symbol; every h-part Y turns into the
-    unit symbol with matrix  - M . F(Y), with F(Y) the fiber action of Y:
-    the combination of the fiber actions of the h basis by Y's coordinates.
+    unit symbol with matrix  - M . F(Y), F(Y) the fiber action of Y.  On
+    the block row E that is  E (R (x) 1) + unit (x) -sum_i E (H_i (x) 1) F_i
+    where R keeps the unit and sends e_k to its d_nu-scaled slice part, H_i
+    holds the h_i coordinate of each symbol's h-part, F_i = F(h_i).
     """
-    g = triple.algebra
-    nh = len(triple.h_basis)
-    hq_matrix = ExactMatrix.from_columns(triple.h_basis + triple.q_basis,
-                                         g.dim).inverse()
-    slice_basis = triple.zq_basis + triple.t_basis
-    weights = [triple.d[triple.nu_of(b)] for b in slice_basis]
-    rho_plus = [_h_coords(triple, triple.rho(1, b)) for b in slice_basis]
-    fibers = _fiber_actions(triple, module)
-
-    out = FormalDiracElement.zero(g, element.matrix_size)
-    for key, matrix in element.terms.items():
-        if key is None:
-            out = out.add_unit(matrix)
-            continue
-        coords = hq_matrix.col(key)
-        for c, d, b in zip(coords[nh:], weights, slice_basis):
-            if not c.is_zero():
-                out = out.add_symbol(vec_scale(c * d, b), matrix)
-        # h coordinates of the h-part: coords[:nh] - sum_j c_j rho_plus(b_j)
-        h_part = vec_sub(coords[:nh],
-                         vec_combination(coords[nh:], rho_plus, nh))
-        if not vec_is_zero(h_part):
-            fiber = matrix_combination(h_part, fibers, element.matrix_size)
-            out = out.add_unit((matrix @ fiber) * (-ONE))
-    return out
+    g, size, e = triple.algebra, element.matrix_size, element.blocks
+    nh, slice_basis = len(triple.h_basis), triple.zq_basis + triple.t_basis
+    # column k of coords is e_k over the h basis, then the q basis; h_i is
+    # its own h-part, and the q vector over slice vector b has slice part
+    # d_nu b and h-part -rho_plus(b)
+    coords = ExactMatrix.from_columns(triple.h_basis + triple.q_basis,
+                                      g.dim).inverse()
+    slice_part = ExactMatrix.from_columns(
+        [(ZERO,) * g.dim] * nh
+        + [vec_scale(triple.d[triple.nu_of(b)], b) for b in slice_basis],
+        g.dim) @ coords
+    h_part = ExactMatrix.from_columns(
+        [unit_vector(nh, i) for i in range(nh)]
+        + [vec_scale(-ONE, _h_coords(triple, triple.rho(1, b)))
+           for b in slice_basis], nh) @ coords
+    ident, h_cols = ExactMatrix.identity(size), _on_symbols(h_part)
+    unit = ExactMatrix.zeros(size, size)
+    for i, fiber in enumerate(_fiber_actions(triple, module)):
+        unit = unit - (e @ h_cols.select_columns([i]).kron(ident)) @ fiber
+    moved = e @ _on_symbols(slice_part, ONE).kron(ident)
+    return (FormalDiracElement(g, size, moved)
+            + FormalDiracElement.symbol(g, None, unit))
 
 
 def _invariance_defect(triple, element, module):
-    """The first h basis index i, with the names of the symbols where the
-    bracket and commutator terms of h_i fail to cancel; None if none fails."""
-    g = triple.algebra
-    zero = FormalDiracElement.zero(g, element.matrix_size)
-    for i, (y, fib) in enumerate(zip(triple.h_basis,
-                                     _fiber_actions(triple, module))):
-        acc = zero
-        for key, m in element.terms.items():
-            comm = fib @ m - m @ fib
-            if key is None:
-                acc = acc.add_unit(comm)
-            else:
-                e = unit_vector(g.dim, key)
-                acc = acc.add_symbol(g.bracket(y, e), m).add_symbol(e, comm)
-        if acc.terms:
-            return i, ", ".join(acc.describe_difference(zero))
+    """The first h basis index i whose defect (see is_invariant_element)
+    is not zero, with the names of its nonzero symbols; None if none is."""
+    g, size, e = triple.algebra, element.matrix_size, element.blocks
+    ident = ExactMatrix.identity(size)
+    for i, (y, fiber) in enumerate(zip(triple.h_basis,
+                                       _fiber_actions(triple, module))):
+        defect = (fiber @ e - e @ ExactMatrix.identity(g.dim + 1).kron(fiber)
+                  + e @ _on_symbols(g.adjoint(y), ZERO).kron(ident))
+        if not defect.is_zero():
+            return i, ", ".join(_symbol_names(g, size, defect))
     return None
 
 
@@ -307,9 +281,10 @@ def is_invariant_element(triple, element, module):
     """Check invariance of a formal element under the fixed subalgebra.
 
     For each h-basis vector Y the bracket action on symbols plus the
-    commutator with the fiber action on matrices must cancel:
-
-        sum_v [Y, v] (x) M_v + sum_v v (x) [fiber(Y), M_v] = 0.
+    commutator with the fiber action F on matrices must cancel,
+    sum_v [Y, v] (x) M_v + sum_v v (x) [F, M_v] = 0.  On the block row E,
+    with A = (0 (+) ad Y)^T acting on the symbols and fixing the unit,
+    that is  F E - E (1 (x) F) + E (A (x) 1) = 0.
     """
     return _invariance_defect(triple, element, module) is None
 
@@ -385,9 +360,10 @@ def algebraic_dirac(pair, action_of, spin):
     square: with b |-> the 1 x n row of b's coordinates the result is the
     spin-side symbol [C_0 | ... | C_{n-1}] of sum_k pi(x_k) (x) C_k.
     """
-    first = action_of(pair.complement_basis[0])
-    out = ExactMatrix.zeros(first.nrows * spin.dim, first.ncols * spin.dim)
-    for j, b in enumerate(pair.complement_basis):
+    actions = [action_of(b) for b in pair.complement_basis]
+    out = ExactMatrix.zeros(actions[0].nrows * spin.dim,
+                            actions[0].ncols * spin.dim)
+    for j, action in enumerate(actions):
         sign = coerce(pair.space.signs[j])
-        out = out + (action_of(b) * sign).kron(spin.gamma_generator(j))
+        out = out + (action * sign).kron(spin.gamma_generator(j))
     return out

@@ -487,21 +487,22 @@ class ExactMatrix:
             return NotImplemented
         return self._ncols == other._ncols and self._rows == other._rows
 
-    def __add__(self, other):
+    def __add__(self, other, negate=False):
+        """self + other, or self - other when negate is set: one pass."""
         if self.shape != other.shape:
             raise ValueError(f"shape mismatch {self.shape} vs {other.shape}")
         out = []
         for r, s in zip(self._rows, other._rows):
-            if not s or not r:
+            if not s or not (r or negate):
                 out.append(r or s)           # rows are never mutated: share
                 continue
             acc = dict(r)
             for j, y in s.items():
                 x = acc.get(j)
                 if x is None:
-                    acc[j] = y
+                    acc[j] = -y if negate else y
                 else:
-                    x = x + y
+                    x = x - y if negate else x + y
                     if x.is_zero():
                         del acc[j]
                     else:
@@ -510,7 +511,7 @@ class ExactMatrix:
         return ExactMatrix._wrap(out, self._ncols)
 
     def __sub__(self, other):
-        return self + (-other)
+        return self.__add__(other, negate=True)
 
     def __neg__(self):
         return ExactMatrix._wrap([{j: -x for j, x in r.items()} for r in self._rows],
@@ -549,9 +550,11 @@ class ExactMatrix:
         return ExactMatrix._wrap(cols, len(self._rows))
 
     def kron(self, other: "ExactMatrix") -> "ExactMatrix":
-        # a product of two nonzero field elements is nonzero
+        # a product of two nonzero field elements is nonzero; a factor ONE
+        # (as in a kron with an identity) is skipped
         width = other._ncols
-        out = [{j1 * width + j2: x * y for j1, x in r.items() for j2, y in s.items()}
+        out = [{j1 * width + j2: x if y is ONE else y if x is ONE else x * y
+                for j1, x in r.items() for j2, y in s.items()}
                for r in self._rows for s in other._rows]
         return ExactMatrix._wrap(out, self._ncols * width)
 

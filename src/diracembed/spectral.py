@@ -246,9 +246,9 @@ def hs_dirac_operator(triple, module: WeightModule,
     """
     pair = triple.pair_h_hk
     spin = triple.spin_hs
-    if vectors is None:
-        return algebraic_dirac(pair, lambda b: beta_action(triple, module, b),
-                               spin)
+    if vectors is None:     # the duals of b_j with norm eps_j are eps_j b_j
+        vectors = pair.complement_basis
+        duals = [vec_scale(s, b) for s, b in zip(pair.space.signs, vectors)]
     vectors = [vec(v) for v in vectors]
     duals = vectors if duals is None else [vec(d) for d in duals]
     if len(vectors) != len(pair.complement_basis) or len(duals) != len(vectors):
@@ -260,9 +260,8 @@ def hs_dirac_operator(triple, module: WeightModule,
                 raise SpectralError("presentation is not biorthonormal")
     size = module.dim * spin.dim
     out = ExactMatrix.zeros(size, size)
-    for b, d in zip(vectors, duals):
-        out = out + beta_action(triple, module, b).kron(
-            spin.gamma(pair.vector_element(d)))
+    for beta, d in zip(beta_action(triple, module, vectors), duals):
+        out = out + beta.kron(spin.gamma(pair.vector_element(d)))
     return out
 
 
@@ -297,7 +296,7 @@ def matched_kernel_blocks(triple, module: WeightModule, kernel: list):
               make_block(m - 1, m + 1, spin_ls="1"))
     cub = cubic_scalar(triple)
     ql_names = ql_slot_names(triple)
-    res = residual_term(triple, module).terms.get(None)
+    res = residual_term(triple, module).block(None)
     for blk in blocks:
         if blk.right.a - blk.right.b != -2:
             raise SpectralError("matched block is off the cancelled line")
@@ -311,7 +310,7 @@ def matched_kernel_blocks(triple, module: WeightModule, kernel: list):
         columns = [s * module.dim + i for s, n in ql_names.items()
                    if n == blk.spin_ls
                    for i, w in enumerate(module.weights) if w == blk.e_weight]
-        if res is not None and not res.select_columns(columns).is_zero():
+        if not res.select_columns(columns).is_zero():
             raise SpectralError(
                 "residual term does not annihilate a matched line")
     return blocks

@@ -24,11 +24,23 @@ def triple():
 def test_formal_element_arithmetic(triple):
     g = triple.algebra
     m = ExactMatrix.identity(2)
-    a = FormalDiracElement.zero(g, 2).add_symbol(unit_vector(6, 0), m)
-    b = FormalDiracElement.zero(g, 2).add_symbol(unit_vector(6, 0), m)
-    assert (a - b).terms == {}
+    a = FormalDiracElement.symbol(g, unit_vector(6, 0), m)
+    b = FormalDiracElement.symbol(g, unit_vector(6, 0), m)
+    assert (a - b).blocks.is_zero()
     assert (a + b) == a.scaled(coerce(2))
-    assert a.add_unit(m).symbol_keys() == [None, 0]
+    unit = FormalDiracElement.symbol(g, None, m)
+    assert (a + unit).describe_difference(a - b) == ["unit", g.labels[0]]
+    assert a.__eq__(m) is NotImplemented
+
+
+def test_formal_element_rejects_wrong_shapes(triple):
+    g = triple.algebra
+    with pytest.raises(ValueError, match="symbol has 5 coordinates"):
+        FormalDiracElement.symbol(g, unit_vector(5, 0), ExactMatrix.identity(2))
+    with pytest.raises(ValueError, match="block row"):
+        FormalDiracElement(g, 2, ExactMatrix.zeros(2, 12))
+    with pytest.raises(ValueError, match="block row"):
+        FormalDiracElement.symbol(g, None, ExactMatrix.zeros(2, 3))
 
 
 def test_formal_element_collects_by_basis_vector(triple):
@@ -36,16 +48,19 @@ def test_formal_element_collects_by_basis_vector(triple):
     m = ExactMatrix.identity(2)
     v = vec_add(vec_scale(SQRT2, unit_vector(6, 0)),
                 vec_scale(I, unit_vector(6, 3)))
-    elt = FormalDiracElement.zero(g, 2).add_symbol(v, m)
-    assert elt.terms[0] == m * SQRT2
-    assert elt.terms[3] == m * I
+    elt = FormalDiracElement.symbol(g, v, m)
+    assert elt.block(0) == m * SQRT2
+    assert elt.block(3) == m * I
+    assert elt.block(None).is_zero() and elt.block(5).is_zero()
+    with pytest.raises(ValueError, match="out of range"):
+        elt.block(6)
 
 
 def test_describe_difference_names_symbols(triple):
     g = triple.algebra
     m = ExactMatrix.identity(2)
-    a = FormalDiracElement.zero(g, 2).add_symbol(unit_vector(6, 1), m)
-    b = FormalDiracElement.zero(g, 2).add_unit(m)
+    a = FormalDiracElement.symbol(g, unit_vector(6, 1), m)
+    b = FormalDiracElement.symbol(g, None, m)
     assert a.describe_difference(b) == ["unit", "e1"]
     assert a.describe_difference(a) == []
 
@@ -56,11 +71,11 @@ def test_beta_action_pushes_through_the_diagonal(triple):
     module = sl2_irrep(2)
     # the diagonal Cartan vector maps to the module's own Cartan action
     diag_h = triple.h_basis[0]
-    assert beta_action(triple, module, diag_h) == module.actions[0]
     doubled = vec_scale(coerce(2), triple.h_basis[1])
-    assert beta_action(triple, module, doubled) == module.actions[1] * coerce(2)
+    assert beta_action(triple, module, [diag_h, doubled]) == [
+        module.actions[0], module.actions[1] * coerce(2)]
     with pytest.raises(ValueError):
-        beta_action(triple, module, unit_vector(6, 0))
+        beta_action(triple, module, [diag_h, unit_vector(6, 0)])
 
 
 def test_ambient_dirac_element_is_invariant(triple):
@@ -72,8 +87,8 @@ def test_ambient_dirac_element_is_invariant(triple):
 
 def _with_a_symbol_dropped(triple, module, key):
     elt = geometric_dirac_element(triple, module)
-    terms = {k: m for k, m in elt.terms.items() if k != key}
-    return FormalDiracElement(triple.algebra, elt.matrix_size, terms)
+    return elt - FormalDiracElement.symbol(
+        triple.algebra, unit_vector(triple.algebra.dim, key), elt.block(key))
 
 
 def test_invariance_rejects_an_element_with_a_symbol_dropped(triple,
@@ -123,16 +138,16 @@ def test_failing_structure_rows_name_the_first_failing_case(monkeypatch):
 def test_cubic_term_matrix(triple):
     module = sl2_irrep(0)
     cub = cubic_term(triple, module)
-    assert cub.symbol_keys() == [None]
+    assert cub.describe_difference(cub.scaled(0)) == ["unit"]
     gamma_cubic = triple.spin_ql.gamma(triple.pair_l_lh.cubic_element())
-    assert cub.terms[None] == gamma_cubic
+    assert cub.block(None) == gamma_cubic
 
 
 def test_residual_term_uses_only_the_unit_symbol(triple):
     module = sl2_irrep(2)
     res = residual_term(triple, module)
-    assert res.symbol_keys() == [None]
-    assert res.terms[None].shape == (
+    assert res.describe_difference(res.scaled(0)) == ["unit"]
+    assert res.block(None).shape == (
         triple.spin_ql.dim * module.dim, triple.spin_ql.dim * module.dim)
 
 

@@ -221,6 +221,18 @@ def test_matrix_product_is_associative_and_distributive(a, b, c):
     assert (a + b) @ c == a @ c + b @ c
 
 
+@given(matrices(3, 3), matrices(3, 3))
+@settings(max_examples=50)
+def test_subtraction_adds_the_negative_and_stores_no_zeros(a, b):
+    for diff in (a - b, a - a, b - (b + a)):
+        assert all(not x.is_zero() for _, x in diff.items())
+    assert a - b == a + (-b)
+    assert (a - a).is_zero()
+    assert b - (b + a) == -a
+    with pytest.raises(ValueError, match="shape mismatch"):
+        a - b.select_columns([0, 1])
+
+
 @given(matrices(3, 4))
 @settings(max_examples=50)
 def test_rank_nullity(m):

@@ -9,8 +9,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from diracembed import spectral
-from diracembed import (CharacterLabel, ExactMatrix, ExactScalar, I,
+from diracembed import cli, dirac, spectral
+from diracembed import (CharacterLabel, ExactMatrix, ExactScalar,
+                        FormalDiracElement, I,
                         INV_SQRT2, KernelLine, LieAlgebra, ONE, SpectralError,
                         SpinModule, TransitiveTriple, ZERO, algebraic_dirac, beta_action, block_eigenvalue, build_sl2_triple, coerce,
                         compact_generator_scalar, cubic_scalar,
@@ -203,10 +204,9 @@ def test_swapped_duals_produce_a_different_kernel(triple):
     pair = triple.pair_h_hk
     spin = SpinModule(pair.space)
     op = ExactMatrix.zeros(module.dim * spin.dim, module.dim * spin.dim)
-    for v, d in ((big_e, vec_scale(half, big_e)),
-                 (big_f, vec_scale(half, big_f))):
-        op = op + beta_action(triple, module, v).kron(
-            spin.gamma(pair.vector_element(d)))
+    for beta, d in zip(beta_action(triple, module, [big_e, big_f]),
+                       (vec_scale(half, big_e), vec_scale(half, big_f))):
+        op = op + beta.kron(spin.gamma(pair.vector_element(d)))
     lines = _whole_operator_lines(triple, module, op)
     assert lines == [(-2, "e"), (2, "1")]
     assert lines != finite_dirac_kernel(triple, module)
@@ -240,6 +240,59 @@ def test_matched_blocks_reject_a_module_other_than_an_even_irrep(triple):
         matched_kernel_blocks(triple, odd, finite_dirac_kernel(triple, odd))
     with pytest.raises(SpectralError, match="not a lowest module from weight 4$"):
         matched_kernel_blocks(triple, lowest_weight_module(4, 6), [])
+
+
+def test_matched_blocks_reject_a_compact_part_that_does_not_cancel(
+        triple, monkeypatch):
+    module = sl2_irrep(2)
+    kernel = finite_dirac_kernel(triple, module)
+    monkeypatch.setattr(spectral, "cubic_scalar", lambda t: ZERO)
+    with pytest.raises(SpectralError,
+                       match="^compact part does not cancel on a block$"):
+        matched_kernel_blocks(triple, module, kernel)
+
+
+def test_matched_blocks_reject_a_residual_that_moves_a_matched_line(
+        triple, monkeypatch):
+    module = sl2_irrep(2)
+    kernel = finite_dirac_kernel(triple, module)
+    size = triple.spin_ql.dim * module.dim
+    monkeypatch.setattr(spectral, "residual_term", lambda t, m:
+                        FormalDiracElement.symbol(t.algebra, None,
+                                                  ExactMatrix.identity(size)))
+    with pytest.raises(SpectralError, match="^residual term does not "
+                                            "annihilate a matched line$"):
+        matched_kernel_blocks(triple, module, kernel)
+
+
+def test_kernel_lines_reject_a_line_across_module_levels(triple,
+                                                         monkeypatch):
+    # on sl2_irrep(2), level 0 on the -1 line and level 1 on the +1 line
+    # share torus weight 1; this weight-keeping operator has their sum as
+    # its only kernel vector there
+    names = hs_slot_names(triple)
+    low = next(s for s, n in names.items() if n == "1")
+    high = 2 + next(s for s, n in names.items() if n == "e")
+    op = ExactMatrix.from_entries(6, 6, {(low, low): ONE, (low, high): -ONE})
+    monkeypatch.setattr(spectral, "hs_dirac_operator", lambda t, m: op)
+    with pytest.raises(SpectralError,
+                       match="^kernel line mixes module levels$"):
+        finite_dirac_kernel(triple, sl2_irrep(2))
+
+
+@pytest.mark.parametrize("argv", [
+    ["verify", "spectral", "--weight", "10", "--truncation", "120"],
+    ["table64", "--weight", "10"]])
+def test_a_spectral_command_checks_the_h_module_map_at_most_twice(
+        argv, monkeypatch, capsys):
+    # once for the fixed-side operator, once for the residual term
+    checks = []
+    twist_actions = dirac._twist_actions
+    monkeypatch.setattr(dirac, "_twist_actions",
+                        lambda *args: checks.append(args)
+                        or twist_actions(*args))
+    assert cli.main(argv) == 0
+    assert 1 <= len(checks) <= 2
 
 
 # -- truncated kernels ----------------------------------------------------------------
