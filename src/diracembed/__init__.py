@@ -38,7 +38,7 @@ _HOMES = {
                    "load_triple",
     "dirac": "FormalDiracElement beta_action geometric_dirac_element "
              "cubic_term residual_term assemble_rhs transfer "
-             "is_invariant_element verify_embedding algebraic_dirac",
+             "invariance_defect verify_embedding algebraic_dirac",
     "spectral": "SpectralError CharacterLabel PeterWeylBlock make_block "
                 "block_eigenvalue compact_generator_scalar cubic_scalar "
                 "even_weight_cancellation grading_element hs_slot_names "

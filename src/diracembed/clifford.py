@@ -18,8 +18,8 @@ from __future__ import annotations
 from collections import namedtuple
 from itertools import combinations
 
-from .lie import LieAlgebra, Vector, vec, vec_combination, vec_is_zero, vec_sub
-from .scalars import ExactScalar, ONE, ZERO, HALF, coerce
+from .lie import LieAlgebra, Vector, vec
+from .scalars import ExactMatrix, ExactScalar, ONE, ZERO, HALF, coerce
 
 
 class QuadraticSpace(namedtuple("QuadraticSpace", "labels signs")):
@@ -237,9 +237,11 @@ def alpha_split_holds(pair_full: "ReductivePair", pair_first: "ReductivePair",
 class ReductivePair:
     """An ambient Lie algebra, an acting subalgebra, and an invariant complement.
 
-    The complement basis must be orthogonal with self-pairings +1 or -1;
-    its quadratic space carries the given labels.  Vectors are coordinate
-    tuples over the ambient algebra's basis throughout.
+    The complement basis B must be orthogonal with self-pairings +1 or -1,
+    read off its Gram matrix; its quadratic space carries the given labels.
+    Coordinates over B come from the dual matrix diag(eps) B^T F, built
+    once.  Vectors are coordinate tuples over the ambient algebra's basis
+    throughout.
     """
 
     def __init__(self, algebra: LieAlgebra, acting_basis, complement_basis, labels):
@@ -257,37 +259,29 @@ class ReductivePair:
             if len(v) != algebra.dim:
                 raise ValueError(f"complement vector {lbl} has {len(v)} "
                                  f"coordinates, not {algebra.dim}")
-        signs = []
-        for i, u in enumerate(self.complement_basis):
-            for j, v in enumerate(self.complement_basis):
-                p = algebra.form_value(u, v)
-                if i == j:
-                    if p == ONE:
-                        signs.append(1)
-                    elif p == -ONE:
-                        signs.append(-1)
-                    else:
-                        raise ValueError(
-                            f"complement vector {labels[i]} has norm {p}, not +-1")
-                elif not p.is_zero():
-                    raise ValueError(
-                        f"complement vectors {labels[i]}, {labels[j]} not orthogonal")
+        self._basis = ExactMatrix.from_columns(self.complement_basis, algebra.dim)
+        gram = algebra.gram(self._basis)
+        k = len(labels)
+        signs = [-1 if gram[i, i] == -ONE else 1 for i in range(k)]
+        eps = ExactMatrix.from_entries(k, k, {(i, i): s for i, s in enumerate(signs)})
+        defect = gram - eps
+        if not defect.is_zero():
+            i, j = min(key for key, _ in defect.items())
+            if i == j:
+                raise ValueError(
+                    f"complement vector {labels[i]} has norm {gram[i, i]}, not +-1")
+            raise ValueError(
+                f"complement vectors {labels[i]}, {labels[j]} not orthogonal")
         self.space = QuadraticSpace(labels, signs)
-
-    def _coordinates(self, x: Vector):
-        """Coordinates of x over the complement basis, or None when x lies
-        outside its span."""
-        coords = tuple(coerce(eps) * self.algebra.form_value(x, b)
-                       for eps, b in zip(self.space.signs, self.complement_basis))
-        recon = vec_combination(coords, self.complement_basis, self.algebra.dim)
-        return coords if vec_is_zero(vec_sub(recon, x)) else None
+        self._dual = eps @ self._basis.transpose() @ algebra.form
 
     def expand(self, x: Vector) -> tuple:
         """Coordinates of x over the complement basis; raises if x is outside it."""
-        coords = self._coordinates(vec(x))
-        if coords is None:
+        column = ExactMatrix.from_columns([vec(x)], self.algebra.dim)
+        coords = self._dual @ column
+        if self._basis @ coords != column:
             raise ValueError("vector is not in the span of the complement")
-        return coords
+        return coords.col(0)
 
     def vector_element(self, x: Vector) -> CliffordElement:
         """The degree-1 Clifford element representing an ambient vector."""
@@ -296,23 +290,20 @@ class ReductivePair:
     def alpha(self, x: Vector) -> CliffordElement:
         """Degree-2 Clifford image of an acting element x.
 
-        alpha(x) = - sum_{i<j} eps_i eps_j <[x, b_i], b_j>  b_i b_j.
-        Raises if the complement fails to be stable under ad(x).
+        alpha(x) = - sum_{i<j} eps_i eps_j <[x, b_i], b_j>  b_i b_j, read off
+        K = dual ad(x) B, whose entry (j, i) is eps_j <[x, b_i], b_j>.  Raises
+        unless B K = ad(x) B, that is unless the complement is ad(x)-stable.
         """
-        x = vec(x)
-        terms = {}
-        for i, (lbl, eps, b) in enumerate(zip(self.space.labels, self.space.signs,
-                                              self.complement_basis)):
-            # ad(x)-stability: the bracket must equal its complement expansion
-            coords = self._coordinates(self.algebra.bracket(x, b))
-            if coords is None:
-                raise ValueError(
-                    f"complement is not ad-stable: [x, {lbl}] leaves the span")
-            # coords[j] = eps_j <[x, b_i], b_j>
-            for j in range(i + 1, len(coords)):
-                if not coords[j].is_zero():
-                    terms[(i, j)] = -coerce(eps) * coords[j]
-        return CliffordElement(self.space, terms)
+        moved = self.algebra.adjoint(vec(x)) @ self._basis
+        k = self._dual @ moved
+        defect = self._basis @ k - moved
+        if not defect.is_zero():
+            lbl = self.space.labels[min(c for (_, c), _ in defect.items())]
+            raise ValueError(f"complement is not ad-stable: [x, {lbl}] leaves the span")
+        signs = self.space.signs
+        return CliffordElement(self.space, {(i, j): -coerce(signs[i]) * k[j, i]
+                                            for i in range(len(signs))
+                                            for j in range(i + 1, len(signs))})
 
     def cubic_element(self) -> CliffordElement:
         """The canonical degree-3 element of the complement.

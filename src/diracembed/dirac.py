@@ -263,9 +263,17 @@ def transfer(triple, element, module):
             + FormalDiracElement.symbol(g, None, unit))
 
 
-def _invariance_defect(triple, element, module):
-    """The first h basis index i whose defect (see is_invariant_element)
-    is not zero, with the names of its nonzero symbols; None if none is."""
+def invariance_defect(triple, element, module):
+    """Where a formal element fails invariance under the fixed subalgebra.
+
+    For each h-basis vector Y the bracket action on symbols plus the
+    commutator with the fiber action F on matrices must cancel,
+    sum_v [Y, v] (x) M_v + sum_v v (x) [F, M_v] = 0.  On the block row E,
+    with A = (0 (+) ad Y)^T acting on the symbols and fixing the unit,
+    that is  F E - E (1 (x) F) + E (A (x) 1) = 0.  Returns None when every
+    defect is zero, else the first failing h basis index with the names of
+    its nonzero symbols.
+    """
     g, size, e = triple.algebra, element.matrix_size, element.blocks
     ident = ExactMatrix.identity(size)
     for i, (y, fiber) in enumerate(zip(triple.h_basis,
@@ -275,18 +283,6 @@ def _invariance_defect(triple, element, module):
         if not defect.is_zero():
             return i, ", ".join(_symbol_names(g, size, defect))
     return None
-
-
-def is_invariant_element(triple, element, module):
-    """Check invariance of a formal element under the fixed subalgebra.
-
-    For each h-basis vector Y the bracket action on symbols plus the
-    commutator with the fiber action F on matrices must cancel,
-    sum_v [Y, v] (x) M_v + sum_v v (x) [F, M_v] = 0.  On the block row E,
-    with A = (0 (+) ad Y)^T acting on the symbols and fixing the unit,
-    that is  F E - E (1 (x) F) + E (A (x) 1) = 0.
-    """
-    return _invariance_defect(triple, element, module) is None
 
 
 # -- full verification ---------------------------------------------------------
@@ -325,12 +321,12 @@ def verify_embedding(triple, module):
                  "rho_minus breaks a complement pairing"))
 
     lhs = geometric_dirac_element(triple, module)
-    ok = is_invariant_element(triple, lhs, module)
-    rows.append(("ambient-invariance", ok,
+    defect = invariance_defect(triple, lhs, module)
+    rows.append(("ambient-invariance", defect is None,
                  "the ambient Dirac element commutes with the fixed "
-                 "subalgebra" if ok else
+                 "subalgebra" if defect is None else
                  "the ambient Dirac element does not commute with h {} at "
-                 "symbols: {}".format(*_invariance_defect(triple, lhs, module))))
+                 "symbols: {}".format(*defect)))
 
     moved = transfer(triple, lhs, module)
     forms = {form: assemble_rhs(triple, module, form) for form in (1, 2)}

@@ -81,18 +81,21 @@ class ExactScalar:
 
     # -- arithmetic ------------------------------------------------------
 
-    def __add__(self, other):
+    def __add__(self, other, negate=False):
+        """self + other, or self - other when negate is set."""
         if not isinstance(other, ExactScalar):
             if not isinstance(other, (int, Fraction)):
                 return NotImplemented
             other = coerce(other)
         a1, b1, c1, d1, n1 = self._parts
         a2, b2, c2, d2, n2 = other._parts
+        if negate:
+            a2, b2, c2, d2 = -a2, -b2, -c2, -d2
         # adding zero returns the other operand unchanged (both immutable)
         if not (a2 or b2 or c2 or d2):
             return self
         if not (a1 or b1 or c1 or d1):
-            return other
+            return _scalar((a2, b2, c2, d2, n2)) if negate else other
         if n1 == n2:
             return _make(a1 + a2, b1 + b2, c1 + c2, d1 + d2, n1)
         return _make(a1 * n2 + a2 * n1, b1 * n2 + b2 * n1,
@@ -105,12 +108,10 @@ class ExactScalar:
         return _scalar((-a, -b, -c, -d, den))
 
     def __sub__(self, other):
-        if not isinstance(other, (int, Fraction, ExactScalar)):
-            return NotImplemented
-        return self + (-coerce(other))
+        return self.__add__(other, True)
 
     def __rsub__(self, other):
-        return coerce(other) + (-self)
+        return coerce(other).__add__(self, True)
 
     def __mul__(self, other):
         if not isinstance(other, ExactScalar):

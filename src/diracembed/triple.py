@@ -10,9 +10,16 @@ the generalized sigma-eigenspace decomposition
 from which the maps rho_plus / rho_minus are built.  The class precomputes
 orthonormalized bases of the pieces of l, the reductive pairs used by the
 Dirac constructions, and the spin modules over their complements.
+
+The structure is certified as matrix identities, one product or one
+elimination per check: a stability or closure check eliminates [basis |
+images] once, and the first pivot past the basis names the first image
+outside its span.  Neither k nor s is stored: the theta-fixed part of a
+span with independent basis B is B times the nullspace of (theta - 1) B.
 """
 
 from functools import cached_property
+from itertools import combinations
 
 from .scalars import (ExactMatrix, coerce, rational_roots, real_sqrt, ZERO,
                       ONE, I, HALF, INV_SQRT2)
@@ -29,8 +36,6 @@ def solve_in_span(vectors, x):
     returned.  None means x lies outside their span.
     """
     dim = len(x)
-    if not vectors:
-        return () if vec_is_zero(x) else None
     reduced, pivots = ExactMatrix.from_columns(list(vectors) + [x], dim).rref()
     n = len(vectors)
     if n in pivots:
@@ -43,26 +48,19 @@ def solve_in_span(vectors, x):
     return tuple(coeffs)
 
 
-def span_basis(vectors, dim):
-    """Subset of the given vectors forming a basis of their span."""
-    if not vectors:
-        return []
-    _, pivots = ExactMatrix.from_columns(vectors, dim).rref()
-    return [vectors[p] for p in pivots]
+def _apply(matrix, vectors):
+    """The images of the given vectors under matrix, in one product."""
+    images = matrix @ ExactMatrix.from_columns(vectors, matrix.ncols)
+    return [images.col(j) for j in range(len(vectors))]
 
 
-def span_intersection(first, second, dim):
-    """Basis of the intersection of two spans of coordinate vectors."""
-    if not first or not second:
-        return []
-    combined = ExactMatrix.from_columns(
-        list(first) + [vec_scale(-ONE, u) for u in second], dim)
-    out = []
-    for null_col in combined.nullspace():
-        v = vec_combination(null_col.col(0)[:len(first)], first, dim)
-        if not vec_is_zero(v):
-            out.append(v)
-    return span_basis(out, dim)
+def _rank_and_first_outside(basis, images, dim):
+    """The rank of basis and the index of the first image outside its span
+    (None if none is), from one elimination of [basis | images]: the first
+    pivot past the basis columns is that image."""
+    _, pivots = ExactMatrix.from_columns(list(basis) + list(images), dim).rref()
+    k = len(basis)
+    return sum(p < k for p in pivots), next((p - k for p in pivots if p >= k), None)
 
 
 class TripleStructureError(ValueError):
@@ -112,28 +110,31 @@ class TransitiveTriple:
         self._check_automorphism(sigma, "sigma")
         self._check_automorphism(theta, "theta")
 
-        self.h_basis = [tuple(coerce(c) for c in v) for v in h_basis]
-        self.l_basis = [tuple(coerce(c) for c in v) for v in l_basis]
-        for v in self.h_basis:
-            if not vec_is_zero(vec_sub(self._apply(sigma, v), v)):
-                raise TripleStructureError("h basis vector not sigma-fixed")
-            if solve_in_span(self.h_basis, self._apply(theta, v)) is None:
-                raise TripleStructureError("h is not theta stable")
-        if len(self.h_basis) != n - (sigma - ident).rank():
+        self.h_basis = h = [tuple(coerce(c) for c in v) for v in h_basis]
+        self.l_basis = l = [tuple(coerce(c) for c in v) for v in l_basis]
+        if _apply(sigma, h) != h:
+            raise TripleStructureError("h basis vector not sigma-fixed")
+        rank, out = _rank_and_first_outside(h, _apply(theta, h), n)
+        if out is not None:
+            raise TripleStructureError(
+                f"h is not theta stable: theta of h {out} leaves h")
+        if len(h) != n - (sigma - ident).rank():
             raise TripleStructureError("h basis does not span the fixed space")
-        if len(span_basis(self.h_basis, n)) != len(self.h_basis):
+        if rank != len(h):
             raise TripleStructureError("h basis is dependent")
-        if len(span_basis(self.l_basis, n)) != len(self.l_basis):
+        pairs = list(combinations(range(len(l)), 2))
+        rank, out = _rank_and_first_outside(
+            l, [algebra.bracket(l[i], l[j]) for i, j in pairs]
+            + _apply(theta, l), n)
+        if rank != len(l):
             raise TripleStructureError("l basis is dependent")
-        self._check_subalgebra(self.l_basis, "l")
-        for v in self.l_basis:
-            if solve_in_span(self.l_basis, self._apply(theta, v)) is None:
-                raise TripleStructureError("l is not theta stable")
-        if len(span_basis(self.h_basis + self.l_basis, n)) != n:
+        if out is not None:
+            raise TripleStructureError(
+                "l is not a subalgebra: [l {}, l {}] leaves l".format(*pairs[out])
+                if out < len(pairs) else
+                f"l is not theta stable: theta of l {out - len(pairs)} leaves l")
+        if ExactMatrix.from_columns(h + l, n).rank() != n:
             raise TripleStructureError("h + l does not span the algebra")
-
-        self.k_basis = [m.col(0) for m in (theta - ident).nullspace()]
-        self.s_basis = [m.col(0) for m in (theta + ident).nullspace()]
 
         self.nu_spaces = self._nu_decompose()
         self.d = {nu: self._weight_factor(nu) for nu, _ in self.nu_spaces
@@ -143,19 +144,18 @@ class TransitiveTriple:
 
         self.l_h_basis = next((list(basis) for nu, basis in self.nu_spaces
                                if nu == ONE), [])
-        for v in self.l_h_basis:
-            if solve_in_span(self.k_basis, v) is None:
-                raise TripleStructureError(
-                    "l cap h is not contained in the compact part")
+        if _apply(theta, self.l_h_basis) != self.l_h_basis:
+            raise TripleStructureError(
+                "l cap h is not contained in the compact part")
 
         self.zq_basis = self._resolve_preferred(zq_basis, want_compact=True)
         self.t_basis = self._resolve_preferred(t_basis, want_compact=False)
         if len(self.t_basis) % 2 != 0:
             raise TripleStructureError(
                 "l cap s must be even dimensional for a spin module")
-        for v in self.zq_basis + self.t_basis:
-            bracket = algebra.bracket(v, self._apply(sigma, v))
-            if not vec_is_zero(bracket):
+        slice_basis = self.zq_basis + self.t_basis
+        for v, mirrored in zip(slice_basis, _apply(sigma, slice_basis)):
+            if not vec_is_zero(algebra.bracket(v, mirrored)):
                 raise TripleStructureError(
                     "basis vector does not commute with its sigma image")
 
@@ -167,9 +167,9 @@ class TransitiveTriple:
         self.t_labels = tuple(f"T{i + 1}" for i in range(len(self.t_basis)))
         self.ql_labels = self.z_labels + self.t_labels
 
-        self.q_basis = [self.rho(-1, v) for v in self.zq_basis + self.t_basis]
-        if len(span_basis(self.q_basis, n)) != len(self.q_basis) or \
-                len(self.q_basis) != n - len(self.h_basis):
+        self.q_basis = [self.rho(-1, v) for v in slice_basis]
+        if ExactMatrix.from_columns(self.q_basis, n).rank() != len(self.q_basis) \
+                or len(self.q_basis) != n - len(h):
             raise TripleStructureError(
                 "rho_minus images do not give a complement of h")
         if not self.rho_is_isometry():
@@ -177,15 +177,14 @@ class TransitiveTriple:
 
         self.pair_g_h = ReductivePair(algebra, self.h_basis, self.q_basis,
                                       self.ql_labels)
-        self.pair_l_lh = ReductivePair(algebra, self.l_h_basis,
-                                       self.zq_basis + self.t_basis,
+        self.pair_l_lh = ReductivePair(algebra, self.l_h_basis, slice_basis,
                                        self.ql_labels)
         self.pair_l_lk = ReductivePair(algebra,
                                        self.l_h_basis + self.zq_basis,
                                        self.t_basis, self.t_labels)
         self.pair_lk_lh = ReductivePair(algebra, self.l_h_basis,
                                         self.zq_basis, self.z_labels)
-        self.h_k_basis = span_intersection(self.h_basis, self.k_basis, n)
+        self.h_k_basis = self._theta_part(h, ONE)
         self.rho_plus_t = [self.rho(1, v) for v in self.t_basis]
         self.pair_h_hk = ReductivePair(algebra, self.h_k_basis,
                                        self.rho_plus_t, self.t_labels)
@@ -198,15 +197,12 @@ class TransitiveTriple:
         self.spin_qlp = SpinModule(self.space_qlp)
         self.spin_hs = SpinModule(self.pair_h_hk.space)
 
-        if h_module_map is not None and len(h_module_map) != len(self.h_basis):
+        if h_module_map is not None and len(h_module_map) != len(h):
             raise TripleStructureError(
                 "the h-module map needs one row per h basis vector")
         self.h_module_map = h_module_map
 
     # -- construction helpers -------------------------------------------
-
-    def _apply(self, matrix, v):
-        return (matrix @ ExactMatrix.from_columns([v], len(v))).col(0)
 
     def _check_isometry(self, matrix, name):
         g = self.algebra
@@ -228,12 +224,6 @@ class TransitiveTriple:
                 raise TripleStructureError(
                     f"{name} is not a Lie algebra automorphism on the pair "
                     f"({g.labels[i]}, {g.labels[j]})")
-
-    def _check_subalgebra(self, basis, name):
-        for i, x in enumerate(basis):
-            for y in basis[i + 1:]:
-                if solve_in_span(basis, self.algebra.bracket(x, y)) is None:
-                    raise TripleStructureError(f"{name} is not a subalgebra")
 
     def _nu_decompose(self):
         """Split l into the generalized sigma-eigenspaces l(nu).
@@ -273,33 +263,34 @@ class TransitiveTriple:
                 f"no exact weight factor for nu = {nu}")
         return root.inverse()
 
+    def _theta_part(self, basis, sign):
+        """A basis of the X in the span of the independent basis B with
+        theta X = sign X: B times the nullspace of (theta - sign) B."""
+        b = ExactMatrix.from_columns(basis, self.algebra.dim)
+        return [(b @ c).col(0) for c in (self.theta @ b - b * sign).nullspace()]
+
     def _resolve_preferred(self, preferred, want_compact):
         """Validate a preferred basis, or orthonormalize a computed one."""
-        n = self.algebra.dim
-        target = self.k_basis if want_compact else self.s_basis
-        pieces = []
-        for nu, basis in self.nu_spaces:
-            if nu == ONE:
-                continue
-            pieces.extend(span_intersection(list(basis), target, n))
+        g = self.algebra
+        pieces = [v for nu, basis in self.nu_spaces if nu != ONE
+                  for v in self._theta_part(basis, ONE if want_compact else -ONE)]
         if preferred is None:
-            return _orthonormalize(self.algebra, pieces)
+            return _orthonormalize(g, pieces)
         preferred = [tuple(coerce(c) for c in v) for v in preferred]
-        if len(preferred) != len(pieces) or \
-                len(span_basis(preferred + pieces, n)) != len(pieces):
+        if len(preferred) != len(pieces) or ExactMatrix.from_columns(
+                preferred + pieces, g.dim).rank() != len(pieces):
             raise TripleStructureError("preferred basis spans the wrong space")
-        for i, u in enumerate(preferred):
-            if len({nu for _, nu, _ in self._eigen_parts(u)}) != 1:
-                raise TripleStructureError(
-                    "preferred basis vector mixes sigma-eigenspaces")
-            for j, w in enumerate(preferred):
-                expected = ONE if i == j else ZERO
-                value = self.algebra.form_value(u, w)
-                if i == j and value == -ONE:
-                    continue
-                if value != expected:
-                    raise TripleStructureError(
-                        "preferred basis is not orthonormal up to sign")
+        if any(len({nu for _, nu, _ in self._eigen_parts(u)}) != 1
+               for u in preferred):
+            raise TripleStructureError(
+                "preferred basis vector mixes sigma-eigenspaces")
+        # orthonormal up to sign: the Gram matrix is diagonal with entries +-1
+        gram = g.gram(ExactMatrix.from_columns(preferred, g.dim))
+        k = len(preferred)
+        if gram != ExactMatrix.from_entries(k, k, {
+                (i, i): -ONE if gram[i, i] == -ONE else ONE for i in range(k)}):
+            raise TripleStructureError(
+                "preferred basis is not orthonormal up to sign")
         return preferred
 
     def _eigen_parts(self, x):
@@ -333,9 +324,7 @@ class TransitiveTriple:
                 raise TripleStructureError(
                     "rho is undefined on the fixed part of l")
             component = vec_scale(c, base_vec)
-            mirrored = self._apply(self.sigma, component)
-            if sign == -1:
-                mirrored = vec_scale(-ONE, mirrored)
+            mirrored = vec_scale(sign, _apply(self.sigma, [component])[0])
             out = vec_add(out, vec_scale(self.d[nu] * HALF,
                                          vec_add(component, mirrored)))
         return out
@@ -356,13 +345,13 @@ class TransitiveTriple:
 
 
 def _orthonormalize(algebra, vectors):
-    """Orthogonal basis with norms +-1 for the span of the given vectors.
+    """Orthogonal basis with norms +-1 for the span of independent vectors.
 
     Standard Gram-Schmidt with exact square roots; vectors of zero norm
     are repaired by adding a partner they pair with.  Fails if a needed
     square root leaves the scalar field.
     """
-    basis = [tuple(v) for v in span_basis(vectors, algebra.dim)]
+    basis = [tuple(v) for v in vectors]
     out = []
     while basis:
         idx = next((i for i, v in enumerate(basis)

@@ -204,3 +204,12 @@ def test_reductive_pair_rejects_complement_vectors_not_orthogonal():
     with pytest.raises(ValueError,
                        match=r"^complement vectors P1, P2 not orthogonal$"):
         ReductivePair(g, [unit_vector(3, 0)], [x1, x1], ("P1", "P2"))
+
+
+def test_alpha_rejects_a_complement_that_is_not_ad_stable():
+    g = sl2()
+    e = unit_vector(3, 1)
+    # [e, h] = -2e leaves the span of h / sqrt2
+    pair = ReductivePair(g, [e], [vec_scale(INV_SQRT2, unit_vector(3, 0))], ("H",))
+    with pytest.raises(ValueError, match=r"^complement is not ad-stable: \[x, H\]"):
+        pair.alpha(e)

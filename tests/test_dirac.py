@@ -9,7 +9,7 @@ from diracembed import (ExactMatrix, FormalDiracElement, I, INV_SQRT2, ONE,
                         ReductivePair, SQRT2, SpinModule, ZERO,
                         algebraic_dirac, assemble_rhs, beta_action,
                         build_sl2_triple, coerce, cubic_term,
-                        geometric_dirac_element, is_invariant_element,
+                        geometric_dirac_element, invariance_defect,
                         residual_term, sl2, sl2_irrep, transfer, unit_vector,
                         vec_add, vec_scale, verify_embedding)
 
@@ -82,7 +82,7 @@ def test_ambient_dirac_element_is_invariant(triple):
     for n in (0, 2):
         module = sl2_irrep(n)
         elt = geometric_dirac_element(triple, module)
-        assert is_invariant_element(triple, elt, module)
+        assert invariance_defect(triple, elt, module) is None
 
 
 def _with_a_symbol_dropped(triple, module, key):
@@ -95,7 +95,7 @@ def test_invariance_rejects_an_element_with_a_symbol_dropped(triple,
                                                               monkeypatch):
     module = sl2_irrep(2)
     broken = _with_a_symbol_dropped(triple, module, 1)   # drop e1
-    assert not is_invariant_element(triple, broken, module)
+    assert invariance_defect(triple, broken, module) == (1, "e1")
     monkeypatch.setattr(dirac, "geometric_dirac_element",
                         lambda t, m: broken)
     rows = {name: (ok, details)

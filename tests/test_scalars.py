@@ -27,6 +27,17 @@ def test_addition_is_associative_and_commutative(x, y, z):
     assert x + y == y + x
 
 
+@given(mixed_scalars, mixed_scalars, st.integers(-50, 50))
+def test_subtraction_adds_the_negative(a, b, n):
+    assert a - b == a + (-b)
+    assert [(a - b).a, (a - b).b, (a - b).c, (a - b).d] == \
+        [a.a - b.a, a.b - b.b, a.c - b.c, a.d - b.d]
+    assert b - b == ZERO
+    assert ZERO - b == -b
+    assert n - b == coerce(n) + (-b)
+    assert b - n == b + coerce(-n)
+
+
 @given(small_scalars, small_scalars, small_scalars)
 def test_multiplication_is_associative(x, y, z):
     assert (x * y) * z == x * (y * z)

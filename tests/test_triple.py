@@ -10,8 +10,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from diracembed import (ExactMatrix, LieAlgebra, ONE, SQRT2, TransitiveTriple,
-                        TripleStructureError, ZERO, build_sl2_triple, clifford_commutator, coerce,
+from diracembed import (CliffordElement, ExactMatrix, I, LieAlgebra, ONE, SQRT2,
+                        TransitiveTriple, TripleStructureError, ZERO,
+                        build_sl2_triple, clifford_commutator, coerce,
                         dump_triple_description, omega_rescaling_cases,
                         omega_value, parse_triple_description, solve_in_span,
                         sl2_irrep, unit_vector, vec_is_zero, vec_scale,
@@ -156,14 +157,15 @@ def test_omega_is_alternating(triple):
 def test_triple_rejects_non_involutive_sigma(triple):
     g = triple.algebra
     bad = triple.sigma * SQRT2
-    with pytest.raises(TripleStructureError):
+    with pytest.raises(TripleStructureError, match=r"^sigma is not an involution$"):
         TransitiveTriple(g, bad, triple.theta, triple.h_basis, triple.l_basis)
 
 
 def test_triple_rejects_wrong_h(triple):
     g = triple.algebra
     short = triple.h_basis[:2]
-    with pytest.raises(TripleStructureError):
+    with pytest.raises(TripleStructureError,
+                       match=r"^h basis does not span the fixed space$"):
         TransitiveTriple(g, triple.sigma, triple.theta, short, triple.l_basis)
 
 
@@ -171,8 +173,67 @@ def test_triple_rejects_non_subalgebra_l(triple):
     g = triple.algebra
     bad_l = [unit_vector(6, 1), unit_vector(6, 2), unit_vector(6, 3),
              unit_vector(6, 4)]
-    with pytest.raises(TripleStructureError):
+    with pytest.raises(TripleStructureError, match=r"^l is not a subalgebra"):
         TransitiveTriple(g, triple.sigma, triple.theta, triple.h_basis, bad_l)
+
+
+def _sum(*vectors):
+    return tuple(sum(parts, ZERO) for parts in zip(*vectors))
+
+
+def _units(*indices):
+    return [unit_vector(6, k) for k in indices]
+
+
+STRUCTURE_MESSAGES = [
+    "h basis vector not sigma-fixed", "h is not theta stable",
+    "h basis is dependent", "l basis is dependent", "l is not theta stable",
+    "h + l does not span the algebra",
+    "l cap h is not contained in the compact part",
+    "preferred basis spans the wrong space",
+    "preferred basis is not orthonormal up to sign",
+]
+
+
+def _structure_input(triple, message):
+    """(h basis, l basis, preferred Z basis) that passes every check before
+    the one whose message is given, and fails that one."""
+    h, l = triple.h_basis, triple.l_basis
+    d0, d1 = h[0], h[1]
+    z, t1 = triple.zq_basis[0], triple.t_basis[0]
+    return {
+        "h basis vector not sigma-fixed": ([unit_vector(6, 0), d1, h[2]], l, None),
+        "h is not theta stable": ([_sum(d0, d1)], l, None),
+        "h basis is dependent": ([d0, d1, _sum(d0, d1)], l, None),
+        "l basis is dependent": (h, _units(0, 1, 2, 0), None),
+        "l is not theta stable": (h, _units(0, 1, 2) + [_sum(*_units(3, 4))], None),
+        "h + l does not span the algebra": (h, _units(0, 3), None),
+        "l cap h is not contained in the compact part": (h, _units(*range(6)), None),
+        "preferred basis spans the wrong space": (h, l, [t1]),
+        "preferred basis is not orthonormal up to sign": (h, l, [vec_scale(2, z)]),
+    }[message]
+
+
+@pytest.mark.parametrize("message", STRUCTURE_MESSAGES)
+def test_triple_structure_checks_name_their_failure(triple, message):
+    h, l, zq = _structure_input(triple, message)
+    t = triple.t_basis if zq is not None else None
+    with pytest.raises(TripleStructureError, match="^" + re.escape(message)):
+        TransitiveTriple(triple.algebra, triple.sigma, triple.theta, h, l,
+                         zq_basis=zq, t_basis=t)
+
+
+def test_stability_and_closure_failures_name_the_first_image_outside(triple):
+    non_subalgebra = _units(1, 2, 3, 4)          # [e1, f1] = h1 leaves l
+    for h, l, want in (
+            (*_structure_input(triple, "h is not theta stable")[:2],
+             "h is not theta stable: theta of h 0 leaves h"),
+            (*_structure_input(triple, "l is not theta stable")[:2],
+             "l is not theta stable: theta of l 3 leaves l"),
+            (triple.h_basis, non_subalgebra,
+             "l is not a subalgebra: [l 0, l 1] leaves l")):
+        with pytest.raises(TripleStructureError, match="^" + re.escape(want) + "$"):
+            TransitiveTriple(triple.algebra, triple.sigma, triple.theta, h, l)
 
 
 def test_generic_construction_without_preferred_bases(triple):
@@ -195,6 +256,105 @@ def test_generic_construction_without_preferred_bases(triple):
                 assert clifford_commutator(ax, pair.vector_element(y)) == \
                     pair.vector_element(g.bracket(x, y))
 
+
+
+# -- the structure against independent constructions ------------------------------
+
+def _combine(coeffs, vectors):
+    return _sum(*(vec_scale(c, v) for c, v in zip(coeffs, vectors)))
+
+
+def _rank(vectors):
+    return ExactMatrix.from_columns(list(vectors), 6).rank() if vectors else 0
+
+
+def _same_span(first, second):
+    return _rank(first) == _rank(second) == _rank(list(first) + list(second))
+
+
+def _span_intersection(first, second):
+    """Vectors spanning span(first) cap span(second): the first halves of the
+    kernel vectors of [first | -second], mapped back over first."""
+    if not first or not second:
+        return []
+    combined = ExactMatrix.from_columns(
+        list(first) + [vec_scale(-1, u) for u in second], 6)
+    return [_combine(col.col(0)[:len(first)], first) for col in combined.nullspace()]
+
+
+def _theta_parts(triple):
+    ident = ExactMatrix.identity(6)
+    return [[m.col(0) for m in (triple.theta + sign * ident).nullspace()]
+            for sign in (-1, 1)]
+
+
+def test_h_k_basis_spans_the_theta_fixed_part_of_h(triple):
+    k, _ = _theta_parts(triple)
+    assert _rank(triple.h_k_basis) == len(triple.h_k_basis)
+    assert _same_span(triple.h_k_basis, _span_intersection(triple.h_basis, k))
+
+
+def test_slice_pieces_span_the_compact_and_noncompact_parts_of_each_l_nu(triple):
+    k, s = _theta_parts(triple)
+    auto = TransitiveTriple(triple.algebra, triple.sigma, triple.theta,
+                            triple.h_basis, triple.l_basis)
+    for nu, basis in triple.nu_spaces:
+        if nu == ONE:
+            continue
+        for built in (triple, auto):
+            for target, got in ((k, built.zq_basis), (s, built.t_basis)):
+                piece = [v for v in got if built.nu_of(v) == nu]
+                assert _same_span(piece, _span_intersection(list(basis), target))
+
+
+def _pairs(triple):
+    return [triple.pair_g_h, triple.pair_l_lh, triple.pair_l_lk,
+            triple.pair_lk_lh, triple.pair_h_hk]
+
+
+def test_alpha_matches_the_pairing_formula_on_all_five_pairs(triple):
+    # alpha(x) = - sum_{i<j} eps_i eps_j <[x, b_i], b_j> b_i b_j
+    g = triple.algebra
+    for pair in _pairs(triple):
+        basis, signs = pair.complement_basis, pair.space.signs
+        for x in pair.acting_basis:
+            want = {(i, j): -coerce(signs[i] * signs[j])
+                    * g.form_value(g.bracket(x, basis[i]), basis[j])
+                    for i in range(len(basis)) for j in range(i + 1, len(basis))}
+            assert pair.alpha(x) == CliffordElement(pair.space, want)
+
+
+def test_expand_matches_the_pairing_formula_on_all_five_pairs(triple):
+    # the coordinates of v over the complement are eps_j <v, b_j>
+    g = triple.algebra
+    for pair in _pairs(triple):
+        basis, signs = pair.complement_basis, pair.space.signs
+        mixed = _combine([coerce(k + 1) * (SQRT2 if k % 2 else I)
+                          for k in range(len(basis))], basis)
+        for v in list(basis) + [mixed]:
+            assert pair.expand(v) == tuple(coerce(eps) * g.form_value(v, b)
+                                           for eps, b in zip(signs, basis))
+
+
+def test_building_the_triple_eliminates_within_its_budget(monkeypatch):
+    from diracembed import triple as triple_module
+    calls = {"rref": 0, "solve_in_span": 0}
+    rref, solve = ExactMatrix.rref, triple_module.solve_in_span
+
+    def counted_rref(self):
+        calls["rref"] += 1
+        return rref(self)
+
+    def counted_solve(vectors, x):
+        calls["solve_in_span"] += 1
+        return solve(vectors, x)
+
+    monkeypatch.setattr(ExactMatrix, "rref", counted_rref)
+    monkeypatch.setattr(triple_module, "solve_in_span", counted_solve)
+    build_sl2_triple()
+    # counts of eliminations, not a timing
+    assert calls["rref"] <= 33
+    assert calls["solve_in_span"] <= 8
 
 
 # -- the sigma certificates against a per-pair reference ---------------------------
