@@ -16,9 +16,7 @@ module action of Y on the twist.
 """
 
 from .scalars import ExactMatrix, coerce, ZERO, ONE, SQRT2
-from .lie import (vec_sub, vec_scale, vec_combination, vec_is_zero,
-                  unit_vector, matrix_combination)
-from .triple import solve_in_span
+from .lie import vec_sub, vec_scale, vec_is_zero, matrix_combination
 
 
 class FormalDiracElement:
@@ -94,30 +92,26 @@ def _on_symbols(matrix, unit=None):
 
 
 def _twist_actions(triple, module):
-    """beta(h_i) for each h basis vector h_i, once the h-module map is
-    checked: each row has module.algebra.dim entries, and brackets of h
-    basis vectors go to brackets of their images (a ValueError otherwise)."""
-    rows, algebra = triple.h_module_map, module.algebra
+    """beta(h_i) for each h basis vector h_i, once the h-module map phi
+    (columns: the rows) is checked: each row has module.algebra.dim entries,
+    and phi ad_h(h_i) = ad(phi h_i) phi, ad_h(h_i) in h coordinates; by
+    antisymmetry the first failing i fails first at a column j > i."""
+    rows, algebra, h = triple.h_module_map, module.algebra, triple.h_basis
     if rows is None:
         raise ValueError("the triple carries no h-module map")
     for idx, row in enumerate(rows):
         if len(row) != algebra.dim:
             raise ValueError(f"hmodule {idx} has {len(row)} entries, but "
                              f"the module's algebra has dimension {algebra.dim}")
-    for i, j, coords in triple.h_brackets:
-        if vec_combination(coords, rows, algebra.dim) != \
-                algebra.bracket(rows[i], rows[j]):
+    phi = ExactMatrix.from_columns(rows, algebra.dim)
+    for i, y in enumerate(h):
+        ad_h = triple.h_coordinates([triple.algebra.bracket(y, z) for z in h])
+        defect = phi @ ad_h - algebra.adjoint(rows[i]) @ phi
+        if not defect.is_zero():
+            j = min(c for (_, c), _ in defect.items())
             raise ValueError(f"hmodule does not carry the bracket of "
                              f"h {i} and h {j} to that of their images")
     return [module.action(row) for row in rows]
-
-
-def _h_coords(triple, y):
-    """Coordinates of y over the h basis; a ValueError when y is not in h."""
-    coords = solve_in_span(triple.h_basis, tuple(coerce(c) for c in y))
-    if coords is None:
-        raise ValueError("vector is not in the fixed subalgebra")
-    return coords
 
 
 def beta_action(triple, module, vectors):
@@ -125,8 +119,8 @@ def beta_action(triple, module, vectors):
     fixed subalgebra: the combination of the beta(h_i) by its h
     coordinates.  The h-module map is checked once for all of them."""
     betas = _twist_actions(triple, module)
-    return [matrix_combination(_h_coords(triple, y), betas, module.dim)
-            for y in vectors]
+    return [matrix_combination(c, betas, module.dim)
+            for c in triple.h_coordinates(vectors).transpose().rows]
 
 
 def _fiber_actions(triple, module):
@@ -250,10 +244,8 @@ def transfer(triple, element, module):
         [(ZERO,) * g.dim] * nh
         + [vec_scale(triple.d[triple.nu_of(b)], b) for b in slice_basis],
         g.dim) @ coords
-    h_part = ExactMatrix.from_columns(
-        [unit_vector(nh, i) for i in range(nh)]
-        + [vec_scale(-ONE, _h_coords(triple, triple.rho(1, b)))
-           for b in slice_basis], nh) @ coords
+    h_part = triple.h_coordinates(triple.h_basis + [
+        vec_scale(-ONE, triple.rho(1, b)) for b in slice_basis]) @ coords
     ident, h_cols = ExactMatrix.identity(size), _on_symbols(h_part)
     unit = ExactMatrix.zeros(size, size)
     for i, fiber in enumerate(_fiber_actions(triple, module)):

@@ -123,14 +123,14 @@ class LieAlgebra:
         """The form's Gram matrix of the given column vectors."""
         return columns.transpose() @ self.form @ columns
 
-    def _check_lengths(self, x: Vector, y: Vector) -> None:
-        for v in (x, y):
+    def check_lengths(self, *vectors: Vector) -> None:
+        for v in vectors:
             if len(v) != self.dim:
                 raise ValueError(f"vector has {len(v)} coordinates, but the "
                                  f"algebra has dim {self.dim}")
 
     def bracket(self, x: Vector, y: Vector) -> Vector:
-        self._check_lengths(x, y)
+        self.check_lengths(x, y)
         out = [ZERO] * self.dim
         for i, xi in enumerate(x):
             if xi.is_zero():
@@ -145,7 +145,7 @@ class LieAlgebra:
         return tuple(out)
 
     def form_value(self, x: Vector, y: Vector) -> ExactScalar:
-        self._check_lengths(x, y)
+        self.check_lengths(x, y)
         total = ZERO
         for i, xi in enumerate(x):
             if xi.is_zero():

@@ -145,11 +145,11 @@ def grading_element(triple):
         raise SpectralError("the triple carries no h-module map")
     size = len(triple.h_module_map[0])
     target = unit_vector(size, 0)
-    coords = solve_in_span([vec(img) for img in triple.h_module_map], target)
+    coords = solve_in_span([vec(img) for img in triple.h_module_map], [target])
     if coords is None:
         raise SpectralError("the twist map does not reach the Cartan line")
-    x = vec_combination(coords, triple.h_basis, triple.algebra.dim)
-    if solve_in_span(triple.h_k_basis, x) is None:
+    x = vec_combination(coords.col(0), triple.h_basis, triple.algebra.dim)
+    if solve_in_span(triple.h_k_basis, [x]) is None:
         raise SpectralError("the grading element is not in h cap k")
     return x
 
@@ -253,11 +253,11 @@ def hs_dirac_operator(triple, module: WeightModule,
     duals = vectors if duals is None else [vec(d) for d in duals]
     if len(vectors) != len(pair.complement_basis) or len(duals) != len(vectors):
         raise SpectralError("presentation does not have full size")
-    for i, vi in enumerate(vectors):
-        for j, dj in enumerate(duals):
-            want = ONE if i == j else ZERO
-            if triple.algebra.form_value(vi, dj) != want:
-                raise SpectralError("presentation is not biorthonormal")
+    g = triple.algebra
+    g.check_lengths(*vectors, *duals)
+    left, right = (ExactMatrix.from_columns(c, g.dim) for c in (vectors, duals))
+    if left.transpose() @ g.form @ right != ExactMatrix.identity(len(vectors)):
+        raise SpectralError("presentation is not biorthonormal")
     size = module.dim * spin.dim
     out = ExactMatrix.zeros(size, size)
     for beta, d in zip(beta_action(triple, module, vectors), duals):

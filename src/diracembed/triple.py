@@ -16,9 +16,11 @@ elimination per check: a stability or closure check eliminates [basis |
 images] once, and the first pivot past the basis names the first image
 outside its span.  Neither k nor s is stored: the theta-fixed part of a
 span with independent basis B is B times the nullspace of (theta - 1) B.
+Coordinates over the sigma-eigenbasis of l and over the h basis (the map
+h_coordinates) are one product L X each, with the left inverse L of the
+basis B built once, and membership of X is the identity B L X = X.
 """
 
-from functools import cached_property
 from itertools import combinations
 
 from .scalars import (ExactMatrix, coerce, rational_roots, real_sqrt, ZERO,
@@ -29,23 +31,39 @@ from .clifford import ReductivePair
 from .spin import SpinModule
 
 
-def solve_in_span(vectors, x):
-    """Coefficients expressing x over the given vectors, or None.
+def solve_in_span(vectors, targets):
+    """Coefficients expressing each target over the given vectors, or None
+    when a target lies outside their span, from one elimination of [vectors |
+    targets]: column j of the result C expresses targets[j], so B C = X for
+    the two lists as columns B and X (any such C if B has dependent columns)."""
+    columns, n = list(vectors) + list(targets), len(vectors)
+    dim = len(columns[0]) if columns else 0
+    reduced, pivots = ExactMatrix.from_columns(columns, dim).rref()
+    if pivots and pivots[-1] >= n:
+        return None
+    # each nonzero row r of the reduced form has its pivot at pivots[r] < n
+    return ExactMatrix.from_entries(n, len(targets), {
+        (pivots[r], c - n): x for (r, c), x in reduced.items() if c >= n})
 
-    The vectors need not be independent; any valid coefficient tuple is
-    returned.  None means x lies outside their span.
-    """
-    dim = len(x)
-    reduced, pivots = ExactMatrix.from_columns(list(vectors) + [x], dim).rref()
-    n = len(vectors)
-    if n in pivots:
-        return None
-    coeffs = [ZERO] * n
-    for r, p in enumerate(pivots):
-        coeffs[p] = reduced[r, n]
-    if not vec_is_zero(vec_sub(vec_combination(coeffs, vectors, dim), x)):
-        return None
-    return tuple(coeffs)
+
+def _coordinate_map(algebra, basis, error_type, message):
+    """The map sending a list of vectors X to their coordinates over the
+    independent basis B, as the columns of one matrix L X.  The left inverse
+    L (L B = 1) comes from one solve_in_span: row j of L expresses unit
+    vector j over the rows of B.  X lies in the span exactly when B L X = X;
+    otherwise error_type(message) is raised."""
+    b = ExactMatrix.from_columns(basis, algebra.dim)
+    left = solve_in_span(b.rows, [unit_vector(len(basis), j)
+                                  for j in range(len(basis))]).transpose()
+
+    def coordinates(vectors):
+        algebra.check_lengths(*vectors)
+        x = ExactMatrix.from_columns(vectors, algebra.dim)
+        coords = left @ x
+        if b @ coords != x:
+            raise error_type(message)
+        return coords
+    return coordinates
 
 
 def _apply(matrix, vectors):
@@ -122,6 +140,8 @@ class TransitiveTriple:
             raise TripleStructureError("h basis does not span the fixed space")
         if rank != len(h):
             raise TripleStructureError("h basis is dependent")
+        self.h_coordinates = _coordinate_map(
+            algebra, h, ValueError, "vector is not in the fixed subalgebra")
         pairs = list(combinations(range(len(l)), 2))
         rank, out = _rank_and_first_outside(
             l, [algebra.bracket(l[i], l[j]) for i, j in pairs]
@@ -141,6 +161,8 @@ class TransitiveTriple:
                   if nu != ONE}
         self.eigenbasis = [v for _, basis in self.nu_spaces for v in basis]
         self.eigen_nus = [nu for nu, basis in self.nu_spaces for _ in basis]
+        self._l_coordinates = _coordinate_map(
+            algebra, self.eigenbasis, TripleStructureError, "vector lies outside l")
 
         self.l_h_basis = next((list(basis) for nu, basis in self.nu_spaces
                                if nu == ONE), [])
@@ -280,8 +302,10 @@ class TransitiveTriple:
         if len(preferred) != len(pieces) or ExactMatrix.from_columns(
                 preferred + pieces, g.dim).rank() != len(pieces):
             raise TripleStructureError("preferred basis spans the wrong space")
-        if any(len({nu for _, nu, _ in self._eigen_parts(u)}) != 1
-               for u in preferred):
+        # each preferred vector has a nonzero part in exactly one l(nu)
+        weights = {(j, self.eigen_nus[k]) for (k, j), _ in
+                   self._l_coordinates(preferred).items()}
+        if sorted(j for j, _ in weights) != list(range(len(preferred))):
             raise TripleStructureError(
                 "preferred basis vector mixes sigma-eigenspaces")
         # orthonormal up to sign: the Gram matrix is diagonal with entries +-1
@@ -292,15 +316,6 @@ class TransitiveTriple:
             raise TripleStructureError(
                 "preferred basis is not orthonormal up to sign")
         return preferred
-
-    def _eigen_parts(self, x):
-        """The nonzero terms c * v of x over the sigma-eigenbasis of l, as
-        (c, nu, v) with v in l(nu); raises if x lies outside l."""
-        coords = solve_in_span(self.eigenbasis, tuple(coerce(c) for c in x))
-        if coords is None:
-            raise TripleStructureError("vector lies outside l")
-        return [(c, nu, v) for c, nu, v in
-                zip(coords, self.eigen_nus, self.eigenbasis) if not c.is_zero()]
 
     # -- public operations ----------------------------------------------
 
@@ -318,27 +333,16 @@ class TransitiveTriple:
         component X in l(nu) with nu != 1 contributes
         d_nu (X + sign * sigma X) / 2.  A component in l(1) is rejected.
         """
-        out = (ZERO,) * self.algebra.dim
-        for c, nu, base_vec in self._eigen_parts(x):
-            if nu == ONE:
-                raise TripleStructureError(
-                    "rho is undefined on the fixed part of l")
-            component = vec_scale(c, base_vec)
-            mirrored = vec_scale(sign, _apply(self.sigma, [component])[0])
-            out = vec_add(out, vec_scale(self.d[nu] * HALF,
-                                         vec_add(component, mirrored)))
-        return out
-
-    @cached_property
-    def h_brackets(self):
-        """(i, j, coordinates of [h_i, h_j] over the h basis) for i < j."""
-        h = self.h_basis
-        return [(i, j, solve_in_span(h, self.algebra.bracket(h[i], h[j])))
-                for i in range(len(h)) for j in range(i + 1, len(h))]
+        coords = list(zip(self._l_coordinates([x]).col(0), self.eigen_nus))
+        if any(nu == ONE and not c.is_zero() for c, nu in coords):
+            raise TripleStructureError("rho is undefined on the fixed part of l")
+        part = vec_combination([self.d.get(nu, ZERO) * HALF * c for c, nu in coords],
+                               self.eigenbasis, self.algebra.dim)
+        return vec_add(part, vec_scale(sign, _apply(self.sigma, [part])[0]))
 
     def nu_of(self, x):
         """The sigma-weight of a vector lying in a single l(nu)."""
-        seen = {nu for _, nu, _ in self._eigen_parts(x)}
+        seen = {self.eigen_nus[k] for (k, _), _ in self._l_coordinates([x]).items()}
         if len(seen) != 1:
             raise TripleStructureError("vector mixes sigma-eigenspaces")
         return seen.pop()
@@ -404,15 +408,14 @@ def omega_rescaling_cases(triple):
     evaluated over every ordered triple from the stored eigenbasis.
     Returns a list of (left side, right side) scalar pairs.
     """
-    eig = [(v, nu) for v, nu in zip(triple.eigenbasis, triple.eigen_nus)
-           if nu != ONE]
+    eig = [(v, nu, triple.rho(1, v), triple.rho(-1, v))
+           for v, nu in zip(triple.eigenbasis, triple.eigen_nus) if nu != ONE]
     quarter = HALF * HALF
     cases = []
-    for x, nux in eig:
-        for y, nuy in eig:
-            for z, nuz in eig:
-                lhs = omega_value(triple, triple.rho(1, x),
-                                  triple.rho(-1, y), triple.rho(-1, z))
+    for x, nux, plus_x, _ in eig:
+        for y, nuy, _, minus_y in eig:
+            for z, nuz, _, minus_z in eig:
+                lhs = omega_value(triple, plus_x, minus_y, minus_z)
                 coeff = (quarter * triple.d[nux] * triple.d[nuy]
                          * triple.d[nuz] * (ONE + nux - nuy - nuz))
                 cases.append((lhs, coeff * omega_value(triple, x, y, z)))

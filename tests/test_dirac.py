@@ -78,6 +78,19 @@ def test_beta_action_pushes_through_the_diagonal(triple):
         beta_action(triple, module, [diag_h, unit_vector(6, 0)])
 
 
+def test_beta_action_rejects_a_vector_outside_h(triple):
+    with pytest.raises(ValueError,
+                       match="^vector is not in the fixed subalgebra$"):
+        beta_action(triple, sl2_irrep(2), [unit_vector(6, 1)])
+
+
+@pytest.mark.parametrize("length", [2, 7])
+def test_beta_action_rejects_a_vector_of_the_wrong_length(triple, length):
+    with pytest.raises(ValueError, match=f"^vector has {length} coordinates, "
+                                         "but the algebra has dim 6$"):
+        beta_action(triple, sl2_irrep(2), [unit_vector(length, 0)])
+
+
 def test_ambient_dirac_element_is_invariant(triple):
     for n in (0, 2):
         module = sl2_irrep(n)

@@ -90,6 +90,19 @@ def test_grading_element_is_the_diagonal_cartan(triple):
     assert vec_is_zero(vec_sub(got, triple.h_basis[0]))
 
 
+@pytest.mark.parametrize("rows, message", [
+    ((1, 1, 1), "the twist map does not reach the Cartan line"),
+    ((1, 0, 2), "the grading element is not in h cap k")])
+def test_grading_element_names_its_failure(triple, rows, message):
+    # rows index the sl2 basis (h, e, f): the images of the three h basis vectors
+    remapped = TransitiveTriple(
+        triple.algebra, triple.sigma, triple.theta, triple.h_basis,
+        triple.l_basis, zq_basis=triple.zq_basis, t_basis=triple.t_basis,
+        h_module_map=[unit_vector(3, k) for k in rows])
+    with pytest.raises(SpectralError, match="^" + message + "$"):
+        grading_element(remapped)
+
+
 @pytest.fixture(scope="module")
 def unmapped(triple):
     """The sl2 triple built without an h-module map."""

@@ -10,8 +10,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from diracembed import (CliffordElement, ExactMatrix, I, LieAlgebra, ONE, SQRT2,
-                        TransitiveTriple, TripleStructureError, ZERO,
+from diracembed import (CliffordElement, ExactMatrix, ExactScalar, I,
+                        LieAlgebra, ONE, SQRT2, TransitiveTriple,
+                        TripleStructureError, ZERO, beta_action,
                         build_sl2_triple, clifford_commutator, coerce,
                         dump_triple_description, omega_rescaling_cases,
                         omega_value, parse_triple_description, solve_in_span,
@@ -81,7 +82,7 @@ def test_rho_plus_lands_isometrically_in_h(triple):
     g = triple.algebra
     for t in triple.t_basis:
         img = triple.rho(1, t)
-        assert solve_in_span(triple.h_basis, img) is not None
+        assert solve_in_span(triple.h_basis, [img]) is not None
         assert g.form_value(img, img) == g.form_value(t, t)
 
 
@@ -236,6 +237,43 @@ def test_stability_and_closure_failures_name_the_first_image_outside(triple):
             TransitiveTriple(triple.algebra, triple.sigma, triple.theta, h, l)
 
 
+def _coordinate_failure(triple, message):
+    """A call that reaches the coordinate check whose message is given."""
+    z, t1 = triple.zq_basis[0], triple.t_basis[0]
+    return {
+        "vector lies outside l": lambda: triple.rho(1, unit_vector(6, 4)),
+        "rho is undefined on the fixed part of l":
+            lambda: triple.rho(1, triple.l_h_basis[0]),
+        "vector mixes sigma-eigenspaces": lambda: triple.nu_of(_sum(z, t1)),
+    }[message]
+
+
+@pytest.mark.parametrize("message", [
+    "vector lies outside l", "rho is undefined on the fixed part of l",
+    "vector mixes sigma-eigenspaces"])
+def test_coordinate_checks_name_their_failure(triple, message):
+    with pytest.raises(TripleStructureError, match="^" + re.escape(message) + "$"):
+        _coordinate_failure(triple, message)()
+
+
+@pytest.mark.parametrize("length", [3, 7])
+def test_coordinates_reject_a_vector_of_the_wrong_length(triple, length):
+    bad = (ONE,) + (ZERO,) * (length - 1)
+    message = f"^vector has {length} coordinates, but the algebra has dim 6$"
+    for call in (lambda: triple.rho(1, bad), lambda: triple.nu_of(bad),
+                 lambda: triple.h_coordinates([bad])):
+        with pytest.raises(ValueError, match=message):
+            call()
+
+
+def test_a_triple_with_an_empty_slice_builds(triple):
+    # sigma = 1 makes h everything; l = 0 is transverse to it
+    empty = TransitiveTriple(triple.algebra, ExactMatrix.identity(6),
+                             triple.theta, _units(*range(6)), [])
+    assert empty.eigenbasis == [] and empty.q_basis == []
+    assert len(empty.h_k_basis) == 2
+
+
 def test_generic_construction_without_preferred_bases(triple):
     auto = TransitiveTriple(triple.algebra, triple.sigma, triple.theta,
                             triple.h_basis, triple.l_basis,
@@ -336,7 +374,8 @@ def test_expand_matches_the_pairing_formula_on_all_five_pairs(triple):
                                            for eps, b in zip(signs, basis))
 
 
-def test_building_the_triple_eliminates_within_its_budget(monkeypatch):
+def _count_eliminations(monkeypatch):
+    """Counts of ExactMatrix.rref and solve_in_span calls from now on."""
     from diracembed import triple as triple_module
     calls = {"rref": 0, "solve_in_span": 0}
     rref, solve = ExactMatrix.rref, triple_module.solve_in_span
@@ -345,16 +384,84 @@ def test_building_the_triple_eliminates_within_its_budget(monkeypatch):
         calls["rref"] += 1
         return rref(self)
 
-    def counted_solve(vectors, x):
+    def counted_solve(vectors, targets):
         calls["solve_in_span"] += 1
-        return solve(vectors, x)
+        return solve(vectors, targets)
 
     monkeypatch.setattr(ExactMatrix, "rref", counted_rref)
     monkeypatch.setattr(triple_module, "solve_in_span", counted_solve)
+    return calls
+
+
+def test_building_the_triple_eliminates_within_its_budget(monkeypatch):
+    calls = _count_eliminations(monkeypatch)
     build_sl2_triple()
-    # counts of eliminations, not a timing
-    assert calls["rref"] <= 33
-    assert calls["solve_in_span"] <= 8
+    # counts of eliminations, not a timing: one solve_in_span per
+    # coordinate map, over the eigenbasis of l and over the h basis
+    assert calls["rref"] <= 23
+    assert calls["solve_in_span"] <= 2
+
+
+def test_coordinates_after_construction_make_no_elimination(triple, monkeypatch):
+    module = sl2_irrep(2)
+    calls = _count_eliminations(monkeypatch)
+    for _ in range(2):
+        for v in triple.zq_basis + triple.t_basis:
+            triple.rho(1, v), triple.rho(-1, v), triple.nu_of(v)
+        triple.h_coordinates(triple.h_basis + triple.rho_plus_t)
+        beta_action(triple, module, triple.rho_plus_t)
+    assert calls == {"rref": 0, "solve_in_span": 0}
+
+
+SMALL = st.fractions(min_value=-3, max_value=3, max_denominator=3)
+# scalars over Q(sqrt2, i), and coefficient lists of two vectors over a basis
+SCALARS = st.builds(ExactScalar, SMALL, SMALL, SMALL, SMALL)
+
+
+def _coefficients(size):
+    return st.lists(st.lists(SCALARS, min_size=size, max_size=size),
+                    min_size=2, max_size=2)
+
+
+@given(_coefficients(4), _coefficients(3))
+@settings(max_examples=30, deadline=None)
+def test_coordinates_are_the_coefficients_a_vector_was_built_from(
+        triple, over_l, over_h):
+    for coeffs, basis, coordinates, outside, error in (
+            (over_l, triple.eigenbasis, triple._l_coordinates, 4,
+             "vector lies outside l"),
+            (over_h, triple.h_basis, triple.h_coordinates, 0,
+             "vector is not in the fixed subalgebra")):
+        vectors = [_combine(c, basis) for c in coeffs]
+        got = coordinates(vectors)
+        assert [got.col(j) for j in range(2)] == [tuple(c) for c in coeffs]
+        with pytest.raises(ValueError, match=f"^{error}$"):
+            coordinates([vectors[0], _sum(vectors[1], unit_vector(6, outside))])
+
+
+VECTORS = st.lists(st.lists(st.sampled_from([ZERO, ONE, -ONE, I, SQRT2]),
+                            min_size=4, max_size=4).map(tuple),
+                   min_size=1, max_size=3)
+
+
+@given(VECTORS, VECTORS, st.lists(st.lists(SCALARS, min_size=3, max_size=3),
+                                  min_size=1, max_size=3))
+@settings(max_examples=40, deadline=None)
+def test_one_batch_solve_matches_its_columns_solved_one_at_a_time(
+        vectors, others, coeffs):
+    # targets inside the span of possibly dependent vectors, and maybe not
+    targets = [tuple(sum((x * v[k] for x, v in zip(c, vectors)), ZERO)
+                     for k in range(4)) for c in coeffs] + others
+    batch = solve_in_span(vectors, targets)
+    singles = [solve_in_span(vectors, [t]) for t in targets]
+    if batch is None:
+        assert any(single is None for single in singles)
+        assert all(single is not None for single in singles[:len(coeffs)])
+        return
+    assert [batch.col(j) for j in range(len(targets))] == \
+        [single.col(0) for single in singles]
+    assert ExactMatrix.from_columns(vectors, 4) @ batch == \
+        ExactMatrix.from_columns(targets, 4)
 
 
 # -- the sigma certificates against a per-pair reference ---------------------------
