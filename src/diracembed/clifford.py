@@ -42,8 +42,14 @@ class QuadraticSpace(namedtuple("QuadraticSpace", "labels signs")):
     def dim(self) -> int:
         return len(self.labels)
 
+    def check_length(self, v, name="vector") -> None:
+        if len(v) != self.dim:
+            raise ValueError(f"{name} has {len(v)} coordinates, but the "
+                             f"space has dim {self.dim}")
+
     def form(self, u, v) -> ExactScalar:
         """Evaluate the diagonal form on two coordinate vectors."""
+        self.check_length(u), self.check_length(v)
         total = ZERO
         for eps, x, y in zip(self.signs, u, v):
             if not (x.is_zero() or y.is_zero()):
@@ -239,9 +245,10 @@ class ReductivePair:
 
     The complement basis B must be orthogonal with self-pairings +1 or -1,
     read off its Gram matrix; its quadratic space carries the given labels.
-    Coordinates over B come from the dual matrix diag(eps) B^T F, built
-    once.  Vectors are coordinate tuples over the ambient algebra's basis
-    throughout.
+    basis is B as a matrix; dual = diag(eps) B^T F, built once, reads
+    coordinates over it.  When the complement is orthogonal to the acting
+    subalgebra, dual x gives the complement part of any vector x.  Vectors
+    are coordinate tuples over the ambient algebra's basis throughout.
     """
 
     def __init__(self, algebra: LieAlgebra, acting_basis, complement_basis, labels):
@@ -259,8 +266,8 @@ class ReductivePair:
             if len(v) != algebra.dim:
                 raise ValueError(f"complement vector {lbl} has {len(v)} "
                                  f"coordinates, not {algebra.dim}")
-        self._basis = ExactMatrix.from_columns(self.complement_basis, algebra.dim)
-        gram = algebra.gram(self._basis)
+        self.basis = ExactMatrix.from_columns(self.complement_basis, algebra.dim)
+        gram = algebra.gram(self.basis)
         k = len(labels)
         signs = [-1 if gram[i, i] == -ONE else 1 for i in range(k)]
         eps = ExactMatrix.from_entries(k, k, {(i, i): s for i, s in enumerate(signs)})
@@ -273,13 +280,13 @@ class ReductivePair:
             raise ValueError(
                 f"complement vectors {labels[i]}, {labels[j]} not orthogonal")
         self.space = QuadraticSpace(labels, signs)
-        self._dual = eps @ self._basis.transpose() @ algebra.form
+        self.dual = eps @ self.basis.transpose() @ algebra.form
 
     def expand(self, x: Vector) -> tuple:
         """Coordinates of x over the complement basis; raises if x is outside it."""
         column = ExactMatrix.from_columns([vec(x)], self.algebra.dim)
-        coords = self._dual @ column
-        if self._basis @ coords != column:
+        coords = self.dual @ column
+        if self.basis @ coords != column:
             raise ValueError("vector is not in the span of the complement")
         return coords.col(0)
 
@@ -294,9 +301,9 @@ class ReductivePair:
         K = dual ad(x) B, whose entry (j, i) is eps_j <[x, b_i], b_j>.  Raises
         unless B K = ad(x) B, that is unless the complement is ad(x)-stable.
         """
-        moved = self.algebra.adjoint(vec(x)) @ self._basis
-        k = self._dual @ moved
-        defect = self._basis @ k - moved
+        moved = self.algebra.adjoint(vec(x)) @ self.basis
+        k = self.dual @ moved
+        defect = self.basis @ k - moved
         if not defect.is_zero():
             lbl = self.space.labels[min(c for (_, c), _ in defect.items())]
             raise ValueError(f"complement is not ad-stable: [x, {lbl}] leaves the span")

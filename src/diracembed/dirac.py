@@ -224,28 +224,28 @@ def assemble_rhs(triple, module, form, cubic_coefficient=None):
 def transfer(triple, element, module):
     """Rewrite an element with ambient symbols into slice symbols.
 
-    Every ambient basis vector splits as an h-part plus a q-part; the
-    q-part is the isometric image of a slice complement vector X, which in
-    turn satisfies  image(X) = d_nu X - rho_plus(X)  on each weight piece.
-    The slice summand d_nu X stays a symbol; every h-part Y turns into the
-    unit symbol with matrix  - M . F(Y), F(Y) the fiber action of Y.  On
-    the block row E that is  E (R (x) 1) + unit (x) -sum_i E (H_i (x) 1) F_i
-    where R keeps the unit and sends e_k to its d_nu-scaled slice part, H_i
-    holds the h_i coordinate of each symbol's h-part, F_i = F(h_i).
+    Every ambient basis vector e_k splits as an h-part plus a q-part; the
+    q-part is Q times column k of the dual of the q basis Q, since q is
+    orthogonal to h = g^sigma.  The q vector over a slice complement vector
+    b is  d_nu b - rho_plus(b)  on each weight piece.  The slice summand
+    d_nu b stays a symbol; every h-part Y, here the rest 1 - Q dual of e_k
+    plus -rho_plus of its q-part, turns into the unit symbol with matrix
+    - M . F(Y), F(Y) the fiber action of Y.  On the block row E that is
+    E (R (x) 1) + unit (x) -sum_i E (H_i (x) 1) F_i  where R keeps the unit
+    and sends e_k to its d_nu-scaled slice part, H_i holds the h_i
+    coordinate of each symbol's h-part, F_i = F(h_i).  h_coordinates
+    raises unless every h-part lies in h, so, as g = h + q is direct, it
+    certifies the split.
     """
     g, size, e = triple.algebra, element.matrix_size, element.blocks
-    nh, slice_basis = len(triple.h_basis), triple.zq_basis + triple.t_basis
-    # column k of coords is e_k over the h basis, then the q basis; h_i is
-    # its own h-part, and the q vector over slice vector b has slice part
-    # d_nu b and h-part -rho_plus(b)
-    coords = ExactMatrix.from_columns(triple.h_basis + triple.q_basis,
-                                      g.dim).inverse()
+    pair, slice_basis = triple.pair_g_h, triple.zq_basis + triple.t_basis
     slice_part = ExactMatrix.from_columns(
-        [(ZERO,) * g.dim] * nh
-        + [vec_scale(triple.d[triple.nu_of(b)], b) for b in slice_basis],
-        g.dim) @ coords
-    h_part = triple.h_coordinates(triple.h_basis + [
-        vec_scale(-ONE, triple.rho(1, b)) for b in slice_basis]) @ coords
+        [vec_scale(triple.d[triple.nu_of(b)], b) for b in slice_basis],
+        g.dim) @ pair.dual
+    rho_plus = ExactMatrix.from_columns(
+        [triple.rho(1, b) for b in slice_basis], g.dim)
+    h_part = triple.h_coordinates(list((ExactMatrix.identity(g.dim) - (
+        pair.basis + rho_plus) @ pair.dual).transpose().rows))
     ident, h_cols = ExactMatrix.identity(size), _on_symbols(h_part)
     unit = ExactMatrix.zeros(size, size)
     for i, fiber in enumerate(_fiber_actions(triple, module)):

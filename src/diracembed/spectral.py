@@ -140,6 +140,7 @@ def grading_element(triple):
 
     Torus weights of spin lines are measured against this element, so the
     naming is independent of any basis normalization inside the triple.
+    x is built in h, so it lies in h cap k exactly when theta x = x.
     """
     if triple.h_module_map is None:
         raise SpectralError("the triple carries no h-module map")
@@ -149,7 +150,8 @@ def grading_element(triple):
     if coords is None:
         raise SpectralError("the twist map does not reach the Cartan line")
     x = vec_combination(coords.col(0), triple.h_basis, triple.algebra.dim)
-    if solve_in_span(triple.h_k_basis, [x]) is None:
+    column = ExactMatrix.from_columns([x], triple.algebra.dim)
+    if triple.theta @ column != column:
         raise SpectralError("the grading element is not in h cap k")
     return x
 

@@ -13,14 +13,19 @@ from __future__ import annotations
 from itertools import combinations
 
 from .clifford import CliffordElement, QuadraticSpace
+from .lie import matrix_combination
 from .scalars import ExactMatrix, INV_SQRT2, I, ONE, ZERO, coerce
 
 
 class Polarization:
     """Isotropic plus/minus bases for a quadratic space, plus optional odd vector.
 
-    All vectors are coordinate tuples over the space's basis.  The pairing
-    matrix <plus_i, minus_j> must be exactly the identity.
+    All vectors are coordinate tuples over the space's basis.  The form
+    gives the dual of each vector of B = [plus | minus | odd]: the matching
+    minus for plus, plus for minus, and odd over its norm +-1 for odd.  So
+    with D = [minus | plus | <odd,odd> odd], the coordinates of x over B are
+    expansion x, with expansion = D^T F and F = diag(signs), and the
+    polarization is valid exactly when expansion B = 1.
     """
 
     def __init__(self, space: QuadraticSpace, plus, minus, odd=None):
@@ -28,34 +33,31 @@ class Polarization:
         self.plus = tuple(tuple(coerce(x) for x in v) for v in plus)
         self.minus = tuple(tuple(coerce(x) for x in v) for v in minus)
         self.odd = tuple(coerce(x) for x in odd) if odd is not None else None
-        self._verify()
-
-    def _verify(self):
-        n_iso = len(self.plus)
-        if len(self.minus) != n_iso:
+        n = len(self.plus)
+        named = ([(f"plus {j}", v) for j, v in enumerate(self.plus)]
+                 + [(f"minus {j}", v) for j, v in enumerate(self.minus)]
+                 + ([("odd vector", self.odd)] if odd is not None else []))
+        for name, v in named:
+            space.check_length(v, name)
+        if len(self.minus) != n:
             raise ValueError("plus and minus parts must have equal dimension")
-        expected = 2 * n_iso + (1 if self.odd is not None else 0)
-        if expected != self.space.dim:
+        if len(named) != space.dim:
             raise ValueError("polarization does not exhaust the space")
-        for kind, vecs in (("plus", self.plus), ("minus", self.minus)):
-            for i, u in enumerate(vecs):
-                for j, v in enumerate(vecs):
-                    if not self.space.form(u, v).is_zero():
-                        raise ValueError(f"{kind} part is not isotropic at ({i},{j})")
-        for i, u in enumerate(self.plus):
-            for j, v in enumerate(self.minus):
-                want = ONE if i == j else ZERO
-                if self.space.form(u, v) != want:
-                    raise ValueError("pairing of plus and minus parts is not "
-                                     f"the identity at ({i},{j})")
-        if self.odd is not None:
-            norm = self.space.form(self.odd, self.odd)
+        duals = named[n:2 * n] + named[:n]
+        if odd is not None:
+            norm = space.form(self.odd, self.odd)
             if norm not in (ONE, -ONE):
                 raise ValueError(f"odd vector has norm {norm}, not +-1")
-            for kind, vecs in (("plus", self.plus), ("minus", self.minus)):
-                for v in vecs:
-                    if not self.space.form(self.odd, v).is_zero():
-                        raise ValueError(f"odd vector not orthogonal to {kind} part")
+            duals.append(("odd vector", tuple(x * norm for x in self.odd)))
+        self.expansion = ExactMatrix([[x * s for x, s in zip(v, space.signs)]
+                                      for _, v in duals])
+        pairing = self.expansion @ ExactMatrix.from_columns(
+            [v for _, v in named], space.dim)
+        defect = pairing - ExactMatrix.identity(space.dim)
+        if not defect.is_zero():
+            a, b = min(key for key, _ in defect.items())
+            raise ValueError(f"{duals[a][0]} and {named[b][0]} pair to "
+                             f"{pairing[a, b]}, not {ONE if a == b else ZERO}")
 
     @property
     def odd_norm_sign(self) -> int:
@@ -123,27 +125,15 @@ class SpinModule:
     # -- construction internals -------------------------------------------
 
     def _build_generator_matrices(self):
-        pol = self.polarization
-        n_iso = len(pol.plus)
-        wedge = [self._ladder_matrix(j, True) for j in range(n_iso)]
-        contract = [self._ladder_matrix(j, False) for j in range(n_iso)]
-        odd_mat = self._odd_matrix() if pol.odd is not None else None
-        # expansion of each space generator in the polarization basis
-        cols = list(pol.plus + pol.minus) + ([pol.odd] if pol.odd is not None else [])
-        inv = ExactMatrix.from_columns(cols, self.space.dim).inverse()
-        gens = []
-        for i in range(self.space.dim):
-            coeffs = inv.col(i)
-            m = ExactMatrix.zeros(self.dim, self.dim)
-            for j in range(n_iso):
-                if not coeffs[j].is_zero():
-                    m = m + wedge[j] * coeffs[j]
-                if not coeffs[n_iso + j].is_zero():
-                    m = m + contract[j] * coeffs[n_iso + j]
-            if pol.odd is not None and not coeffs[2 * n_iso].is_zero():
-                m = m + odd_mat * coeffs[2 * n_iso]
-            gens.append(m)
-        return gens
+        """gamma of each space generator: its coordinates over the
+        polarization basis, a column of the expansion, applied to the
+        wedge, contraction and odd matrices of that basis."""
+        pol, n_iso = self.polarization, len(self.polarization.plus)
+        images = ([self._ladder_matrix(j, True) for j in range(n_iso)]
+                  + [self._ladder_matrix(j, False) for j in range(n_iso)]
+                  + ([self._odd_matrix()] if pol.odd is not None else []))
+        return [matrix_combination(pol.expansion.col(i), images, self.dim)
+                for i in range(self.space.dim)]
 
     def _ladder_matrix(self, j: int, wedge: bool) -> ExactMatrix:
         """Wedging with plus vector j, or contracting against it; either

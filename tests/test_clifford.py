@@ -62,6 +62,16 @@ def test_generator_squares_are_half_the_sign():
         space, coerce(1) * HALF * HALF)
 
 
+@pytest.mark.parametrize("u, v, length", [
+    ((ONE,), (ONE, ONE), 1), ((ONE, ONE), (ONE, ONE, ONE), 3)],
+    ids=["short", "long"])
+def test_quadratic_form_rejects_wrong_length_vectors(u, v, length):
+    space = QuadraticSpace(("A", "B"), (1, 1))
+    with pytest.raises(ValueError, match=f"^vector has {length} coordinates, "
+                                         "but the space has dim 2$"):
+        space.form(u, v)
+
+
 def test_quadratic_form_values():
     space = space_of((1, -1, 1))
     e1 = (ONE, ZERO, ZERO)

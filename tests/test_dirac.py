@@ -185,6 +185,43 @@ def test_transfer_matches_both_assembled_forms(triple):
     assert moved == assemble_rhs(triple, module, 2)
 
 
+def test_pair_dual_is_the_q_rows_of_the_inverse(triple):
+    """Oracle: the dual of the q basis under the form equals the q rows of
+    the eliminated inverse of [h basis | q basis]."""
+    inverse = ExactMatrix.from_columns(triple.h_basis + triple.q_basis,
+                                       6).inverse()
+    assert triple.pair_g_h.dual.rows == inverse.rows[len(triple.h_basis):]
+
+
+def _transfer_by_inverse(triple, element, module):
+    """The transfer with e_k split over h and q by inverting [h | q]."""
+    g, size, e = triple.algebra, element.matrix_size, element.blocks
+    nh, slice_basis = len(triple.h_basis), triple.zq_basis + triple.t_basis
+    coords = ExactMatrix.from_columns(triple.h_basis + triple.q_basis,
+                                      g.dim).inverse()
+    slice_part = ExactMatrix.from_columns(
+        [(ZERO,) * g.dim] * nh
+        + [vec_scale(triple.d[triple.nu_of(b)], b) for b in slice_basis],
+        g.dim) @ coords
+    h_part = triple.h_coordinates(triple.h_basis + [
+        vec_scale(-ONE, triple.rho(1, b)) for b in slice_basis]) @ coords
+    ident, h_cols = ExactMatrix.identity(size), dirac._on_symbols(h_part)
+    unit = ExactMatrix.zeros(size, size)
+    for i, fiber in enumerate(dirac._fiber_actions(triple, module)):
+        unit = unit - (e @ h_cols.select_columns([i]).kron(ident)) @ fiber
+    moved = e @ dirac._on_symbols(slice_part, ONE).kron(ident)
+    return (FormalDiracElement(g, size, moved)
+            + FormalDiracElement.symbol(g, None, unit))
+
+
+@pytest.mark.parametrize("weight", [0, 2, 10])
+def test_transfer_matches_the_inverse_based_split(triple, weight):
+    module = sl2_irrep(weight)
+    lhs = geometric_dirac_element(triple, module)
+    assert transfer(triple, lhs, module) == \
+        _transfer_by_inverse(triple, lhs, module)
+
+
 def test_perturbed_cubic_coefficient_breaks_only_the_unit_term(triple):
     module = sl2_irrep(2)
     moved = transfer(triple, geometric_dirac_element(triple, module), module)

@@ -1,11 +1,14 @@
 """Spin modules: polarizations, gamma matrices, and tensor factorizations."""
 
+import re
 from itertools import combinations
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from diracembed import (CliffordElement, ExactMatrix, HALF, I, INV_SQRT2, ONE,
-                        Polarization, QuadraticSpace, SpinModule, ZERO,
+                        Polarization, QuadraticSpace, SQRT2, SpinModule, ZERO,
                         coerce, combine_spin_modules,
                         graded_tensor_action, inject_element, mult_iso,
                         standard_polarization)
@@ -47,6 +50,93 @@ def test_polarization_rejects_bad_pairings():
     with pytest.raises(ValueError):
         Polarization(SLICE_SPACE, [(INV_SQRT2, I * INV_SQRT2)],
                      [(INV_SQRT2, I * INV_SQRT2)])
+
+
+def _sum(u, v):
+    return tuple(x + y for x, y in zip(u, v))
+
+
+# the standard polarization of four positive generators, and of three:
+# plus u_k = (e + i e')/sqrt2 pairs to 1 with minus v_k = (e - i e')/sqrt2
+S = INV_SQRT2
+U1, U2 = (S, I * S, ZERO, ZERO), (ZERO, ZERO, S, I * S)
+V1, V2 = (S, -I * S, ZERO, ZERO), (ZERO, ZERO, S, -I * S)
+U, V, E3 = (S, I * S, ZERO), (S, -I * S, ZERO), (ZERO, ZERO, ONE)
+FOUR_SPACE = QuadraticSpace(("A", "B", "C", "D"), (1, 1, 1, 1))
+THREE_SPACE = QuadraticSpace(("A", "B", "C"), (1, 1, 1))
+
+BAD_POLARIZATIONS = {
+    "unequal-parts": (SLICE_SPACE, [U[:2]], [], None,
+                      "plus and minus parts must have equal dimension"),
+    "not-exhausted": (THREE_SPACE, [U], [V], None,
+                      "polarization does not exhaust the space"),
+    # u1 + v2 pairs to 1 with u2, and the pairing stays the identity
+    "plus-not-isotropic": (FOUR_SPACE, [_sum(U1, V2), U2], [V1, V2], None,
+                           "plus 0 and plus 1 pair to 1, not 0"),
+    "minus-not-isotropic": (FOUR_SPACE, [U1, U2], [V1, _sum(V2, U1)], None,
+                            "minus 0 and minus 1 pair to 1, not 0"),
+    "pairing-not-identity": (SLICE_SPACE, [U[:2]], [(SQRT2, -I * SQRT2)],
+                             None, "minus 0 and plus 0 pair to 2, not 1"),
+    "odd-norm-two": (QuadraticSpace(("A",), (1,)), [], [], (SQRT2,),
+                     "odd vector has norm 2, not +-1"),
+    # e3 + v has norm 1 and pairs to 1 with u; e3 + u likewise with v
+    "odd-meets-plus": (THREE_SPACE, [U], [V], _sum(E3, V),
+                       "plus 0 and odd vector pair to 1, not 0"),
+    "odd-meets-minus": (THREE_SPACE, [U], [V], _sum(E3, U),
+                        "minus 0 and odd vector pair to 1, not 0"),
+}
+
+
+@pytest.mark.parametrize("case", BAD_POLARIZATIONS)
+def test_polarization_names_each_failure(case):
+    space, plus, minus, odd, message = BAD_POLARIZATIONS[case]
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        Polarization(space, plus, minus, odd)
+
+
+def test_polarization_rejects_a_vector_longer_than_the_space():
+    # the extra entry used to be dropped by the form, so this passed
+    with pytest.raises(ValueError, match="^plus 0 has 3 coordinates, but "
+                                         "the space has dim 2$"):
+        Polarization(SLICE_SPACE, [(S, I * S, ZERO)], [(S, -I * S, ONE)])
+
+
+@pytest.mark.parametrize("length", [2, 4], ids=["short", "long"])
+@pytest.mark.parametrize("part", ["plus 0", "minus 0", "odd vector"])
+def test_polarization_rejects_wrong_length_vectors(part, length):
+    parts = {"plus 0": U, "minus 0": V, "odd vector": E3}
+    parts[part] = (parts[part] + (ZERO,))[:length]
+    with pytest.raises(ValueError, match=f"^{part} has {length} coordinates, "
+                                         "but the space has dim 3$"):
+        Polarization(THREE_SPACE, [parts["plus 0"]], [parts["minus 0"]],
+                     parts["odd vector"])
+
+
+def _polarization_columns(pol):
+    return list(pol.plus + pol.minus) + ([pol.odd] if pol.odd is not None else [])
+
+
+@given(st.lists(st.sampled_from([1, -1]), min_size=1, max_size=7))
+@settings(max_examples=40, deadline=None)
+def test_expansion_is_the_inverse_of_the_polarization_basis(signs):
+    """Oracle: the expansion read off the duals equals the eliminated
+    inverse of [plus | minus | odd], and so do the gamma generators
+    expanded over that inverse, wedge, contraction and odd term by term."""
+    space = QuadraticSpace([f"E{k}" for k in range(len(signs))], signs)
+    pol = standard_polarization(space)
+    inverse = ExactMatrix.from_columns(_polarization_columns(pol),
+                                       space.dim).inverse()
+    assert pol.expansion == inverse
+    module, n = SpinModule(space, pol), len(pol.plus)
+    for i in range(space.dim):
+        coeffs = inverse.col(i)
+        want = ExactMatrix.zeros(module.dim, module.dim)
+        for j in range(n):
+            want = (want + module._ladder_matrix(j, True) * coeffs[j]
+                    + module._ladder_matrix(j, False) * coeffs[n + j])
+        if pol.odd is not None:
+            want = want + module._odd_matrix() * coeffs[2 * n]
+        assert module.gamma_generator(i) == want
 
 
 # -- gamma matrices ----------------------------------------------------------------

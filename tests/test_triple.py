@@ -375,20 +375,27 @@ def test_expand_matches_the_pairing_formula_on_all_five_pairs(triple):
 
 
 def _count_eliminations(monkeypatch):
-    """Counts of ExactMatrix.rref and solve_in_span calls from now on."""
+    """Counts of ExactMatrix.rref, ExactMatrix.inverse and solve_in_span
+    calls from now on; an inverse counts as one rref as well."""
     from diracembed import triple as triple_module
-    calls = {"rref": 0, "solve_in_span": 0}
-    rref, solve = ExactMatrix.rref, triple_module.solve_in_span
+    calls = {"rref": 0, "inverse": 0, "solve_in_span": 0}
+    rref, inverse = ExactMatrix.rref, ExactMatrix.inverse
+    solve = triple_module.solve_in_span
 
     def counted_rref(self):
         calls["rref"] += 1
         return rref(self)
+
+    def counted_inverse(self):
+        calls["inverse"] += 1
+        return inverse(self)
 
     def counted_solve(vectors, targets):
         calls["solve_in_span"] += 1
         return solve(vectors, targets)
 
     monkeypatch.setattr(ExactMatrix, "rref", counted_rref)
+    monkeypatch.setattr(ExactMatrix, "inverse", counted_inverse)
     monkeypatch.setattr(triple_module, "solve_in_span", counted_solve)
     return calls
 
@@ -397,20 +404,26 @@ def test_building_the_triple_eliminates_within_its_budget(monkeypatch):
     calls = _count_eliminations(monkeypatch)
     build_sl2_triple()
     # counts of eliminations, not a timing: one solve_in_span per
-    # coordinate map, over the eigenbasis of l and over the h basis
-    assert calls["rref"] <= 23
+    # coordinate map, over the eigenbasis of l and over the h basis, and
+    # one inverse, of the Gram matrix of l; the polarizations of the four
+    # spin modules read their coordinates from duals under the form
+    assert calls["rref"] <= 19
+    assert calls["inverse"] <= 1
     assert calls["solve_in_span"] <= 2
 
 
 def test_coordinates_after_construction_make_no_elimination(triple, monkeypatch):
-    module = sl2_irrep(2)
+    modules = [sl2_irrep(w) for w in (2, 0, 10)]
     calls = _count_eliminations(monkeypatch)
     for _ in range(2):
         for v in triple.zq_basis + triple.t_basis:
             triple.rho(1, v), triple.rho(-1, v), triple.nu_of(v)
         triple.h_coordinates(triple.h_basis + triple.rho_plus_t)
-        beta_action(triple, module, triple.rho_plus_t)
-    assert calls == {"rref": 0, "solve_in_span": 0}
+        beta_action(triple, modules[0], triple.rho_plus_t)
+    # the transfer reads the q coordinates from the dual of the q basis
+    for module in modules[1:]:
+        assert all(ok for _, ok, _ in verify_embedding(triple, module))
+    assert calls == {"rref": 0, "inverse": 0, "solve_in_span": 0}
 
 
 SMALL = st.fractions(min_value=-3, max_value=3, max_denominator=3)
