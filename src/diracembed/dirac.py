@@ -244,8 +244,8 @@ def transfer(triple, element, module):
         g.dim) @ pair.dual
     rho_plus = ExactMatrix.from_columns(
         [triple.rho(1, b) for b in slice_basis], g.dim)
-    h_part = triple.h_coordinates(list((ExactMatrix.identity(g.dim) - (
-        pair.basis + rho_plus) @ pair.dual).transpose().rows))
+    h_part = triple.h_coordinates((ExactMatrix.identity(g.dim) - (
+        pair.basis + rho_plus) @ pair.dual).transpose().rows)
     ident, h_cols = ExactMatrix.identity(size), _on_symbols(h_part)
     unit = ExactMatrix.zeros(size, size)
     for i, fiber in enumerate(_fiber_actions(triple, module)):
