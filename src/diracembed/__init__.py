@@ -44,8 +44,7 @@ _HOMES = {
                 "even_weight_cancellation grading_element hs_slot_names "
                 "ql_slot_names hs_dirac_operator finite_dirac_kernel "
                 "matched_kernel_blocks KernelLine single_side scan_module "
-                "truncated_dirac_kernel scan_family scan_hits scan_lines "
-                "kernel_table",
+                "truncated_dirac_kernel scan_lines kernel_table",
     "report": "CheckResult run_suites render_json render_text has_failure",
 }
 _HOME_OF = {name: home for home, names in _HOMES.items()

@@ -29,7 +29,7 @@ _TARGETS = {
 }
 
 MAX_TRUNCATION = 2000     # verify solves two scan members at this size
-MAX_WEIGHT = 1000         # the scan members and their levels grow with it
+MAX_WEIGHT = 1000         # sl2_irrep(W) and its fixed-side operator grow
 
 
 def _build_parser() -> argparse.ArgumentParser:

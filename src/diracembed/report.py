@@ -371,22 +371,26 @@ def spectral_suite(triple, weight: int, truncation: int = 40):
         f"lowest weight {m} kernel meets total {m - 1} (minus line)",
         f"kernel lines hw={hw} lw={lw}", "weight-module-kernels"))
 
-    # one scan per matched block, shared by the uniqueness check and table
-    scans = spectral.identification_scans(m, truncation)
-    hits = [list(found) for _, found in scans]
-    met = [{p: [tuple(l) for l in lines] for p, lines in found.items()}
-           for _, found in scans]
-    results.append(_check(
-        "spectral", "scan-uniqueness", hits == [[-m - 2], [m]],
-        f"scans hit exactly one module each: highest {hits[0]}, "
-        f"lowest {hits[1]}",
-        f"scan hits, each with the lines (total, slot, level) it met: "
-        f"highest {met[0]}, lowest {met[1]}",
-        "weight-module-kernels"))
+    # one scan per matched block, shared by the uniqueness check and table;
+    # a failed certificate of the scans fails both with its message
+    try:
+        scans = spectral.identification_scans(m, truncation)
+        hits = [list(found) for _, found in scans]
+        met = [{p: [tuple(l) for l in lines] for p, lines in found.items()}
+               for _, found in scans]
+        ok, good, bad = hits == [[-m - 2], [m]], (
+            f"scans hit exactly one module each: highest {hits[0]}, "
+            f"lowest {hits[1]}"), (
+            f"scan hits, each with the lines (total, slot, level) it met: "
+            f"highest {met[0]}, lowest {met[1]}")
+    except spectral.SpectralError as exc:
+        scans, ok, good, bad = None, False, "", str(exc)
+    results.append(_check("spectral", "scan-uniqueness", ok, good, bad,
+                          "weight-module-kernels"))
 
-    # without the matched blocks the table fails with their message
-    ok, detail = False, blocks_detail
-    if blocks is not None:
+    # the table fails with the message of the blocks or scans it lacks
+    ok, detail = False, blocks_detail if scans is not None else bad
+    if blocks is not None and scans is not None:
         try:
             table = spectral.table_rows(blocks, scans)
             ok, detail = table == _expected_table(m), f"table rows {table}"

@@ -5,8 +5,9 @@ C_{-a,-b} (x) C_{a,b} (x) S (x) E_{-a-b}.  On each block the compact
 slice Dirac operator acts by an exact scalar, the cubic term cancels it
 exactly on the a-b = -2 line, and what remains of the embedded operator
 is the noncompact slice operator.  Its kernel lines are identified by
-scanning truncated weight modules for the unique module whose algebraic
-Dirac kernel meets the torus weight each block prescribes.
+the unique weight module, over all integer parameters of its family, whose
+algebraic Dirac kernel meets the torus weight each block prescribes; a
+certified formula for the Dirac square leaves at most two to solve.
 
 Spin basis lines are always named by their computed torus weight (the
 gamma action of the grading element of the compact subalgebra): the +1
@@ -203,6 +204,8 @@ class KernelLine(NamedTuple):
 
 def _line_weight(name: str) -> int:
     """Torus weight of a named spin line: -1 on "1", +1 on "e" or "u"."""
+    if name not in ("1", "e", "u"):
+        raise SpectralError(f"unknown spin line {name!r}")
     return -1 if name == "1" else 1
 
 
@@ -323,15 +326,11 @@ def matched_kernel_blocks(triple, module: WeightModule, kernel: list):
 
 @cache
 def single_side():
-    """The rank-one pair: sl2 against its Cartan line, with spin data.
-
-    Returns (algebra, pair, spin, names, weights) where names/weights
-    label the two spin lines by their computed grading weight.
-    """
+    """The rank-one pair, sl2 against its Cartan line, with spin data:
+    (algebra, pair, spin, names, weights), where names and weights label
+    the two spin lines by their computed grading weight."""
     g = sl2()
-    h_v = g.basis_vector("h")
-    e_v = g.basis_vector("e")
-    f_v = g.basis_vector("f")
+    h_v, e_v, f_v = (g.basis_vector(label) for label in "hef")
     # orthonormal complement: (e+f)/sqrt2 and i(e-f)/sqrt2
     x1 = vec_scale(INV_SQRT2, vec_add(e_v, f_v))
     x2 = vec_scale(I * INV_SQRT2, vec_add(e_v, vec_scale(-ONE, f_v)))
@@ -342,11 +341,8 @@ def single_side():
 
 
 def scan_module(kind: str, param: int, n_levels: int) -> WeightModule:
-    """The member of the scan family over the rank-one algebra, built anew.
-
-    kind "finite" ignores n_levels; "lowest"/"highest" build truncated
-    modules with the given parameter.
-    """
+    """The member of the scan family over the rank-one algebra, built anew:
+    "finite" ignores n_levels, "lowest"/"highest" are truncated."""
     if kind == "finite":
         return sl2_irrep(param)
     if kind == "lowest":
@@ -356,91 +352,94 @@ def scan_module(kind: str, param: int, n_levels: int) -> WeightModule:
     raise SpectralError(f"unknown module kind {kind!r}")
 
 
-def truncated_dirac_kernel(module: WeightModule) -> list:
-    """Exact kernel lines of the rank-one Dirac operator on M (x) S.
-
-    The domain is restricted to the module's certified levels while all
-    image rows are kept, so for the truncated kinds every reported line
-    is a genuine kernel line of the untruncated module.  The operator is
-    sum_k pi(x_k) (x) C_k from its rational spin-side symbol.
-    """
-    g, pair, spin, names, _ = single_side()
+def _rank_one_operator(module: WeightModule, levels: int) -> ExactMatrix:
+    """sum_k pi(x_k) (x) C_k, from the rank-one pair's rational spin-side
+    symbol, on the first `levels` levels of M (x) S and all image rows."""
+    g, pair, spin, _, _ = single_side()
     if module.algebra != g:
         raise SpectralError("module does not live over the rank-one algebra")
     symbol = algebraic_dirac(pair, lambda b: ExactMatrix([b]), spin)
-    window = range(module.certified)
-    op = ExactMatrix.zeros(module.dim * spin.dim, module.certified * spin.dim)
+    op = ExactMatrix.zeros(module.dim * spin.dim, levels * spin.dim)
     for k, action in enumerate(module.actions):
         c_k = symbol.select_columns(range(k * spin.dim, (k + 1) * spin.dim))
         if not c_k.is_zero():
-            op = op + action.select_columns(window).kron(c_k)
-    return _kernel_lines(op, module, names)
+            op = op + action.select_columns(range(levels)).kron(c_k)
+    return op
+
+
+def truncated_dirac_kernel(module: WeightModule) -> list:
+    """Exact kernel lines of the rank-one Dirac operator on M (x) S, on the
+    module's certified levels and all image rows: for the truncated kinds
+    every reported line is a genuine kernel line of the untruncated one."""
+    return _kernel_lines(_rank_one_operator(module, module.certified),
+                         module, single_side()[3])
 
 
 # -- parameter scans and the kernel table -------------------------------------
 
 
-def scan_depth(m: int) -> int:
-    """How far the scans for twist parameter m reach: the table's hits sit
-    at nu = -m-2 and mu = m."""
-    return max(12, m + 2)
+def certify_dirac_square() -> None:
+    """Check that D^2 acts on each column of torus weight tau below the top
+    level by (c^2 - tau^2)/4, with c = mu - 1 (lowest family, mu = 0 its
+    one-dimensional member) or nu + 1 (highest); raise naming the column.
+
+    Three members at levels 0..3 decide all: D^2 = sum pi(a)pi(b) (x) C_aC_b
+    with constant C's, and each step of pi(a)pi(b) is a weight, the free
+    step 1 or a ladder coefficient like j(nu - j + 1), of degree 1, 0 and
+    (1, 2) in (parameter, level j).  A diagonal entry, a free step times a
+    ladder coefficient or two weights, has degree <= (2, 2): levels 0..2
+    fix it and level 3 guards.  The other entries of the column's torus
+    weight, the only ones a kernel vector of that weight meets, lie on the
+    other spin line one level away: a weight times at most one ladder
+    coefficient, degree <= (2, 3).  Below the top level none depends on
+    the truncation."""
+    _, _, spin, names, line_weight = single_side()
+    grid = [("lowest", p, lowest_weight_module(p, 4)) for p in (1, 2, 3)] + [
+        ("highest", p, highest_weight_module(p, 4)) for p in (-1, -2, -3)]
+    for kind, p, module in [("lowest", 0, sl2_irrep(0))] + grid:
+        op = _rank_one_operator(module, module.dim)
+        square, c = op @ op, p - 1 if kind == "lowest" else p + 1
+        for k in range(module.certified * spin.dim):
+            level, s = divmod(k, spin.dim)
+            tau = module.weights[level] + line_weight[s]
+            lam = coerce(Fraction(c * c - tau * tau, 4))
+            if square.col(k) != tuple(lam if i == k else ZERO
+                                      for i in range(square.nrows)):
+                raise SpectralError(
+                    f"D^2 is not (c^2 - tau^2)/4 on the {kind} family at "
+                    f"parameter {p}, level {level}, spin line {names[s]!r}")
 
 
-def _members(kind: str, depth: int) -> list:
-    """(parameter, module kind) of each scan family member: nu = -1 ..
-    -depth for "highest"; mu = 0 .. depth for "lowest", where mu = 0 is the
-    one-dimensional module (the honest irreducible quotient) and mu >= 1
-    are the irreducible truncated lowest weight modules."""
-    if kind == "highest":
-        return [(nu, "highest") for nu in range(-1, -depth - 1, -1)]
-    if kind == "lowest":
-        return [(mu, "lowest" if mu else "finite") for mu in range(depth + 1)]
-    raise SpectralError(f"unknown scan family {kind!r}")
-
-
-def scan_family(kind: str, depth: int, n_levels: int) -> dict:
-    """Kernel lines of each member of a scan family, by parameter, each
-    member built with n_levels levels and solved whole: the reference that
-    scan_lines is tested against."""
-    return {p: truncated_dirac_kernel(scan_module(k, p, n_levels))
-            for p, k in _members(kind, depth)}
-
-
-def scan_hits(family: dict, total: int, slot: str) -> list:
-    """The parameters of the family members whose kernel meets the line."""
-    return [p for p, lines in family.items()
-            if any(l.total == total and l.slot == slot for l in lines)]
-
-
-def scan_lines(kind: str, total: int, slot: str, depth: int,
-               n_levels: int) -> dict:
-    """The members of a scan family whose kernel meets the line (total,
-    slot), by parameter, with the lines met: what scan_hits finds in
-    scan_family, with each member solved only where the line can sit.
-
-    That is the level j whose module weight, mu + 2j (lowest) or nu - 2j
-    (highest), is total less the line weight.  A member with no certified
-    level j is skipped unbuilt.  The others are built to level j + 2:
+def scan_lines(kind: str, total: int, slot: str, n_levels: int) -> dict:
+    """The members of a scan family, over all its integer parameters, whose
+    kernel meets the line (total, slot), by parameter, with the lines met.
+    The family "highest" has nu <= -1; "lowest" has mu >= 0, mu = 0 being
+    the one-dimensional module (the honest irreducible quotient).  D^2 acts
+    on the line by (c^2 - total^2)/4 (certify_dirac_square), so only nu =
+    -1 +- total and mu = 1 +- total can meet it.  Each is solved at the
+    level j whose module weight, mu + 2j or nu - 2j, is total less the line
+    weight: unbuilt if j is not certified, else built to level j + 2, as
     levels j and j +- 1 reach only rows j - 2 .. j + 2, whose ladder
-    coefficients do not depend on the truncation, so the line's block and
-    its kernel are those of the n_levels member."""
+    coefficients do not depend on the truncation."""
+    if kind not in ("highest", "lowest"):
+        raise SpectralError(f"unknown scan family {kind!r}")
+    shift = 1 if kind == "lowest" else -1        # c = parameter - shift
     weight, met = total - _line_weight(slot), {}
-    for p, k in _members(kind, depth):
-        j, odd = divmod(weight - p, 2 if kind == "lowest" else -2)
-        if not odd and 0 <= j < (n_levels if k != "finite" else p + 1):
+    for p in sorted({shift - total, shift + total}, key=lambda p: shift * p):
+        k = kind if p else "finite"
+        j, odd = divmod(weight - p, 2 * shift)
+        if (p >= 0 if kind == "lowest" else p <= -1) and not odd \
+                and 0 <= j < (n_levels if k != "finite" else p + 1):
             met[p] = [l for l in truncated_dirac_kernel(scan_module(
                 k, p, min(n_levels, j + 2))) if l[:2] == (total, slot)]
     return {p: lines for p, lines in met.items() if lines}
 
 
 def _dual_row(kind: str, param: int) -> list:
-    """Name the dual of a scan hit.
-
-    A highest weight module with parameter nu pairs with the lowest
-    weight representation of weight -nu; the lowest weight family pairs
-    with highest weight -mu, falling to the limit case at mu = 1 and the
-    one-dimensional module at mu = 0.
-    """
+    """Name the dual of a scan hit: a highest weight module with parameter
+    nu pairs with the lowest weight representation of weight -nu; the
+    lowest weight family pairs with highest weight -mu, falling to the
+    limit case at mu = 1 and the one-dimensional module at mu = 0."""
     if kind == "highest":
         n = -param
         if n < 2:
@@ -454,23 +453,21 @@ def _dual_row(kind: str, param: int) -> list:
 
 
 def identification_scans(m: int, n_levels: int) -> list:
-    """(family, scan_lines result) of the line each matched block of twist
-    parameter m prescribes, in block order: the highest weight family at
-    total -m-1 on "e" (the slice "u" of its block; both are the +1 line),
-    then the lowest weight family at total m-1 on "1", each scanned to
-    scan_depth(m) with n_levels levels."""
-    depth = scan_depth(m)
-    return [(kind, scan_lines(kind, total, slot, depth, n_levels))
+    """(family, scan_lines result) at n_levels levels, after
+    certify_dirac_square, of the line each matched block of twist parameter
+    m prescribes: the highest weight family at total -m-1 on "e" (the slice
+    "u" of its block; both are the +1 line), then the lowest at m-1 on "1"."""
+    certify_dirac_square()
+    return [(kind, scan_lines(kind, total, slot, n_levels))
             for kind, total, slot in (("highest", -m - 1, "e"),
                                       ("lowest", m - 1, "1"))]
 
 
 def table_rows(blocks, scans) -> list:
-    """Rows [kind, parameter, "C", character] of the kernel identification.
-
-    The matched blocks and their identification_scans are read pairwise,
-    by position.  The unique member a scan meets names the first factor;
-    the block's second right-label coordinate names the character."""
+    """Rows [kind, parameter, "C", character] of the kernel identification,
+    from the matched blocks and their identification_scans read pairwise:
+    the unique member a scan meets names the first factor, the block's
+    second right-label coordinate the character."""
     rows = []
     for blk, (kind, met) in zip(blocks, scans, strict=True):
         if len(met) != 1:

@@ -21,7 +21,6 @@ from diracembed import (CliffordElement, ExactMatrix, ExactScalar, I,
                         geometric_dirac_element, graded_tensor_action,
                         hs_dirac_operator, inject_element, kernel_table,
                         make_block, mult_iso, omega_rescaling_cases,
-                        scan_family, scan_hits,
                         sl2_irrep, transfer, truncated_dirac_kernel,
                         unit_vector, vec_add, vec_is_zero, vec_scale, vec_sub,
                         verify_embedding)
@@ -223,8 +222,18 @@ def test_criterion_11_truncated_kernels_and_scans():
     spectral.single_side.cache_clear()
     start = time.perf_counter()
     problems = []
-    highest = scan_family("highest", 12, 40)
-    lowest = scan_family("lowest", 12, 40)
+    # the reference scan: every member nu = -1 .. -12 and mu = 0 .. 12
+    # (mu = 0 the one-dimensional module), each solved whole at 40 levels
+    highest = {nu: truncated_dirac_kernel(
+        spectral.scan_module("highest", nu, 40)) for nu in range(-1, -13, -1)}
+    lowest = {mu: truncated_dirac_kernel(
+        spectral.scan_module("lowest" if mu else "finite", mu, 40))
+        for mu in range(13)}
+
+    def scan_hits(family, total, slot):
+        return [p for p, lines in family.items()
+                if (total, slot) in [(l.total, l.slot) for l in lines]]
+
     for m in range(6):
         hw = truncated_dirac_kernel(
             spectral.scan_module("highest", -m - 2, 40))

@@ -9,7 +9,8 @@ from pathlib import Path
 
 import pytest
 
-from diracembed import CheckResult, CliffordElement, SpinModule, coerce
+from diracembed import (CheckResult, CliffordElement, ExactMatrix, SpinModule,
+                        coerce)
 from diracembed import cli
 from diracembed import report
 from diracembed import spectral
@@ -38,7 +39,7 @@ PINNED_SPECTRAL = {
     "verify_spectral_w2.json": ["verify", "spectral", "--weight", "2",
                                 "--format", "json"],
     "verify_spectral_w3.txt": ["verify", "spectral", "--weight", "3"],
-    # the fixed-side kernel on a 201-dimensional module, scans to depth 102
+    # the fixed-side kernel on a 201-dimensional module
     "verify_spectral_w200.json": ["verify", "spectral", "--weight", "200",
                                   "--format", "json"],
     **{f"table64_w{w}.json": ["table64", "--weight", str(w)]
@@ -151,7 +152,7 @@ def test_table_higher_weights(capsys):
     assert cli.main(["table64", "--weight", "4"]) == 0
     rows = json.loads(capsys.readouterr().out)
     assert rows == [["DS+", 4, "C", 1], ["DS-", -2, "C", -3]]
-    # past weight 20 the scans reach nu = -13 and mu = 11
+    # past weight 20 the hit nu = -13 lies beyond twelve family members
     assert cli.main(["table64", "--weight", "22"]) == 0
     rows = json.loads(capsys.readouterr().out)
     assert rows == [["DS+", 13, "C", 10], ["DS-", -11, "C", -12]]
@@ -252,12 +253,10 @@ def test_each_scan_member_is_solved_once_per_command(command, monkeypatch,
                                                      capsys):
     solved, fixed = _count_kernel_solves(monkeypatch)
     assert cli.main(command) == 0
-    # the members whose target line sits at a level j, built to level j + 2:
-    # nu = -1, -3, -5, -7 meet total -6 at j = 3..0; mu = 1, 3, 5 meet
-    # total 4 at j = 2..0
-    scans = [("highest", -1, 6), ("highest", -3, 5), ("highest", -5, 4),
-             ("highest", -7, 3), ("lowest", 1, 5), ("lowest", 3, 4),
-             ("lowest", 5, 3)]
+    # the members where D^2 can vanish on the target line, built to two
+    # levels past it: nu = -7 meets total -6 at level 0 (nu = 5 is not in
+    # its family), and mu = 5 meets total 4 at level 0 (mu = -3 is not)
+    scans = [("highest", -7, 3), ("lowest", 5, 3)]
     # verify also solves the two ds-kernels members at the full truncation
     ds = [("highest", -7, 121), ("lowest", 5, 121)] \
         if command[0] == "verify" else []
@@ -296,6 +295,36 @@ def test_matched_block_failure_fails_the_table_and_spares_the_scans(
         assert status[name][0] == "pass"
 
 
+def test_a_failed_dirac_square_certificate_fails_the_scans(monkeypatch):
+    symbol = spectral.algebraic_dirac
+
+    def scaled(pair, action_of, spin):
+        # the symbol column C_e of the rank-one operator, doubled
+        out = symbol(pair, action_of, spin)
+        return out + ExactMatrix.from_entries(*out.shape, {
+            (i, j): x for (i, j), x in out.items()
+            if spin.dim <= j < 2 * spin.dim})
+    monkeypatch.setattr(spectral, "algebraic_dirac", scaled)
+    [(_, checks)] = report.run_suites(["spectral"], weight=4)
+    status = {c.check: (c.status, c.details) for c in checks}
+    failure = ("fail", "D^2 is not (c^2 - tau^2)/4 on the lowest family at "
+                       "parameter 1, level 0, spin line 'e'")
+    for name in ("scan-uniqueness", "table-identification"):
+        assert status[name] == failure
+    assert status["matched-blocks"][0] == "pass"
+
+
+def test_a_wide_scan_builds_only_the_candidate_members(monkeypatch, capsys):
+    # four members in all: the two ds-kernels members and one candidate of
+    # each family, where the window nu = -1 .. -102, mu = 0 .. 102 built 80
+    built, build = [], spectral.scan_module
+    monkeypatch.setattr(spectral, "scan_module",
+                        lambda *key: built.append(key) or build(*key))
+    assert cli.main(["verify", "spectral", "--weight", "200",
+                     "--truncation", "40"]) == 0
+    assert len(built) <= 4
+
+
 def _failing_details(suite, **kwargs):
     [(_, checks)] = report.run_suites([suite], **kwargs)
     return {c.check: c.details for c in checks if c.status == "fail"}
@@ -323,9 +352,9 @@ def test_block_eigenvalue_failure_counts_the_blocks(monkeypatch):
 def test_scan_uniqueness_failure_names_the_lines_met(monkeypatch):
     scan = spectral.scan_lines
 
-    def doubled(kind, total, slot, depth, n_levels):
+    def doubled(kind, total, slot, n_levels):
         # the member nu = -5 also meets the line of nu = -4
-        met = scan(kind, total, slot, depth, n_levels)
+        met = scan(kind, total, slot, n_levels)
         if kind == "highest":
             met[-5] = met[-4]
         return met

@@ -19,8 +19,8 @@ from diracembed import (CharacterLabel, ExactMatrix, ExactScalar,
                         grading_element, highest_weight_module,
                         hs_dirac_operator, hs_slot_names, kernel_table,
                         lowest_weight_module, make_block,
-                        matched_kernel_blocks, ql_slot_names, scan_family,
-                        scan_hits, scan_lines, scan_module, single_side,
+                        matched_kernel_blocks, ql_slot_names, scan_lines,
+                        scan_module, single_side,
                         sl2_irrep, truncated_dirac_kernel, unit_vector,
                         vec_add, vec_is_zero, vec_scale, vec_sub)
 
@@ -400,6 +400,26 @@ def test_kernel_rejects_foreign_modules(triple):
 
 # -- scans and the dual table -------------------------------------------------------
 
+def scan_family(kind, depth, n_levels):
+    """The whole-family oracle: the kernel lines of each family member in
+    the window nu = -1 .. -depth ("highest") or mu = 0 .. depth ("lowest",
+    mu = 0 being the one-dimensional module), each built with n_levels
+    levels and solved whole."""
+    if kind == "highest":
+        members = [(nu, "highest") for nu in range(-1, -depth - 1, -1)]
+    else:
+        members = [(mu, "lowest" if mu else "finite")
+                   for mu in range(depth + 1)]
+    return {p: truncated_dirac_kernel(spectral.scan_module(k, p, n_levels))
+            for p, k in members}
+
+
+def scan_hits(family, total, slot):
+    """The parameters of the family members whose kernel meets the line."""
+    return [p for p, lines in family.items()
+            if any(l.total == total and l.slot == slot for l in lines)]
+
+
 @pytest.fixture(scope="module")
 def families():
     return {kind: scan_family(kind, 12, 40) for kind in ("highest", "lowest")}
@@ -420,9 +440,35 @@ def test_scan_misses_return_empty(families):
 
 def test_scan_family_rejects_an_unknown_kind():
     with pytest.raises(SpectralError, match="'middle'"):
-        scan_family("middle", 3, 10)
+        scan_module("middle", 3, 10)
     with pytest.raises(SpectralError, match="'middle'"):
-        scan_lines("middle", 0, "1", 3, 10)
+        scan_lines("middle", 0, "1", 10)
+
+
+def test_scan_lines_reject_an_unknown_spin_line():
+    # "E" is not "e": it must not read as the +1 line and miss every member
+    assert list(scan_lines("highest", -3, "e", 10)) == [-4]
+    with pytest.raises(SpectralError, match="^unknown spin line 'E'$"):
+        scan_lines("highest", -3, "E", 10)
+
+
+@pytest.mark.parametrize("kind, param, n_levels", [
+    ("lowest", 4, 12), ("lowest", 9, 12), ("highest", -6, 12),
+    ("highest", -11, 12), ("finite", 0, 0)])
+def test_dirac_square_formula_beyond_the_certified_grid(kind, param,
+                                                        n_levels):
+    # the certificate checks three members of each family at levels 0..3;
+    # its formula must hold on the members and levels it does not check
+    module = scan_module(kind, param, n_levels)
+    op = spectral._rank_one_operator(module, module.dim)
+    c = param - 1 if kind != "highest" else param + 1
+    _, _, spin, _, weights = single_side()
+    want = {(k, k): Fraction(c * c - (module.weights[k // spin.dim]
+                                      + weights[k % spin.dim]) ** 2, 4)
+            for k in range(module.certified * spin.dim)}
+    assert (op @ op).select_columns(range(module.certified * spin.dim)) \
+        == ExactMatrix.from_entries(op.nrows, module.certified * spin.dim,
+                                    want)
 
 
 def _weights_near(module, total):
@@ -438,7 +484,7 @@ def test_scan_lines_match_the_whole_family_scan(m, n_levels, monkeypatch):
     built, build = [], spectral.scan_module
     monkeypatch.setattr(spectral, "scan_module",
                         lambda *key: built.append(build(*key)) or built[-1])
-    depth = spectral.scan_depth(m)
+    depth = max(12, m + 2)
     for kind in ("highest", "lowest"):
         family = scan_family(kind, depth, n_levels)
         members = built[:]
@@ -446,15 +492,18 @@ def test_scan_lines_match_the_whole_family_scan(m, n_levels, monkeypatch):
             built.clear()
             met = [(p, [l for l in family[p] if l[:2] == (total, slot)])
                    for p in scan_hits(family, total, slot)]
-            assert list(scan_lines(kind, total, slot, depth,
+            assert list(scan_lines(kind, total, slot,
                                    n_levels).items()) == met
-            # built: exactly the members with a certified column at the
+            # built: exactly the candidate members, those where D^2 =
+            # (c^2 - total^2)/4 vanishes, with a certified column at the
             # line, each with the member's columns and rows of that total
             weight = total - (1 if slot == "e" else -1)
             assert [(b.weights[0], _weights_near(b, total)) for b in built] \
                 == [(p, _weights_near(member, total))
                     for p, member in zip(family, members)
-                    if weight in member.weights[:member.certified]]
+                    if (p - 1 if kind == "lowest" else p + 1) ** 2
+                    == total ** 2
+                    and weight in member.weights[:member.certified]]
         built.clear()
 
 
