@@ -10,7 +10,6 @@ fails, and 2 on usage errors.
 """
 
 import argparse
-import json
 import sys
 
 # Import the leaf modules first, in dependency order, as the eager package
@@ -28,7 +27,7 @@ _TARGETS = {
     "spectral": ["spectral"],
 }
 
-MAX_TRUNCATION = 2000     # verify solves two scan members at this size
+MAX_TRUNCATION = 2000     # levels a scan searches; it builds to j + 2
 MAX_WEIGHT = 1000         # sl2_irrep(W) and its fixed-side operator grow
 
 
@@ -96,7 +95,12 @@ def main(argv=None) -> int:
     # module, which imports the spectral module only for the spectral suite
     if args.command == "table64":
         from . import spectral
-        rows = spectral.kernel_table(build_sl2_triple(), args.weight // 2)
+        try:
+            rows = spectral.kernel_table(build_sl2_triple(), args.weight // 2)
+        except spectral.SpectralError as exc:
+            sys.stderr.write(f"diracembed table64: {exc}\n")
+            return 1
+        import json     # loaded only for the rows
         _emit(json.dumps(rows, separators=(",", ":")) + "\n", args.out)
         return 0
 

@@ -5,13 +5,11 @@ records.  Renderers produce either a stable JSON document or one text line
 per check; reruns of the same build yield byte-identical output.
 """
 
-import json
 from fractions import Fraction
 from itertools import product
 from typing import NamedTuple
 
-from .scalars import (ExactScalar, ExactMatrix, coerce, ZERO, ONE, HALF,
-                      INV_SQRT2)
+from .scalars import ExactMatrix, coerce, ZERO, ONE, HALF, SQRT2, INV_SQRT2
 from .lie import sl2_irrep
 from .clifford import (QuadraticSpace, CliffordElement, clifford_commutator,
                        inject_element, alpha_split_holds)
@@ -32,10 +30,6 @@ class CheckResult(NamedTuple):
 def _check(suite, check, ok, good, bad, anchor) -> CheckResult:
     return CheckResult(suite, check, "pass" if ok else "fail",
                        good if ok else bad, anchor)
-
-
-def _skip(suite, check, why, anchor) -> CheckResult:
-    return CheckResult(suite, check, "skipped", why, anchor)
 
 
 def _first(bad):
@@ -296,13 +290,9 @@ def spectral_suite(triple, weight: int, truncation: int = 40):
     from . import spectral      # compiled only when this suite runs
     results = []
 
-    bad = []
-    for a in range(-10, 11):
-        for b in range(-10, 11):
-            got = spectral.block_eigenvalue(triple, spectral.make_block(a, b))
-            want = ExactScalar(0, Fraction(a - b, 4))   # (a-b)/(2 sqrt2)
-            if got != want:
-                bad.append((a, b))
+    bad = [(a, b) for a, b in product(range(-10, 11), repeat=2)
+           if spectral.block_eigenvalue(triple, spectral.make_block(a, b))
+           != SQRT2 * coerce(Fraction(a - b, 4))]    # (a-b)/(2 sqrt2)
     results.append(_check(
         "spectral", "block-eigenvalues", not bad,
         "compact slice eigenvalue equals (a-b)/(2*sqrt2) on all 441 blocks "
@@ -337,7 +327,8 @@ def spectral_suite(triple, weight: int, truncation: int = 40):
                              ("scan-uniqueness", "weight-module-kernels"),
                              ("table-identification",
                               "kernel-identification-table")):
-            results.append(_skip("spectral", name, skip_why, anchor))
+            results.append(CheckResult("spectral", name, "skipped",
+                                       skip_why, anchor))
         return results
 
     m = weight // 2
@@ -360,36 +351,38 @@ def spectral_suite(triple, weight: int, truncation: int = 40):
         "spectral", "matched-blocks", ok, blocks_detail, blocks_detail,
         "matched-block-reduction"))
 
-    hw, lw = (spectral.truncated_dirac_kernel(
-        spectral.scan_module(kind, param, truncation)) for kind, param in
-        (("highest", -m - 2), ("lowest" if m else "finite", m)))
-    hw_ok = [(l.total, l.slot) for l in hw] == [(-m - 1, "e")]
-    lw_ok = any(l.total == m - 1 and l.slot == "1" for l in lw)
-    results.append(_check(
-        "spectral", "ds-kernels", hw_ok and lw_ok,
-        f"highest weight {-m - 2} kernel at total {-m - 1} (plus line); "
-        f"lowest weight {m} kernel meets total {m - 1} (minus line)",
-        f"kernel lines hw={hw} lw={lw}", "weight-module-kernels"))
-
-    # one scan per matched block, shared by the uniqueness check and table;
-    # a failed certificate of the scans fails both with its message
+    # one scan per matched block, shared by ds-kernels, the uniqueness check
+    # and the table, each member solved to level j + 2 of its line at any
+    # truncation; a failed certificate of the scans fails all three
     try:
         scans = spectral.identification_scans(m, truncation)
-        hits = [list(found) for _, found in scans]
+        (_, high), (_, low) = scans
+        # D^2 = (c^2 - tau^2)/4 on certified columns: on the highest member
+        # (c = -m-1) only level 0 on "e" has tau^2 = c^2, so the scanned line
+        # is its whole kernel.  The lowest member only has to meet its line.
+        hw, lw = high.get(-m - 2, []), low.get(m, [])
+        ds = ([(l.total, l.slot) for l in hw] == [(-m - 1, "e")]
+              and any(l.total == m - 1 and l.slot == "1" for l in lw),
+              f"highest weight {-m - 2} kernel at total {-m - 1} (plus line); "
+              f"lowest weight {m} kernel meets total {m - 1} (minus line)",
+              f"kernel lines hw={hw} lw={lw}")
         met = [{p: [tuple(l) for l in lines] for p, lines in found.items()}
-               for _, found in scans]
-        ok, good, bad = hits == [[-m - 2], [m]], (
-            f"scans hit exactly one module each: highest {hits[0]}, "
-            f"lowest {hits[1]}"), (
-            f"scan hits, each with the lines (total, slot, level) it met: "
-            f"highest {met[0]}, lowest {met[1]}")
+               for found in (high, low)]
+        unique = (list(high) == [-m - 2] and list(low) == [m],
+                  f"scans hit exactly one module each: highest {list(high)}, "
+                  f"lowest {list(low)}",
+                  f"scan hits, each with the lines (total, slot, level) it "
+                  f"met: highest {met[0]}, lowest {met[1]}")
     except spectral.SpectralError as exc:
-        scans, ok, good, bad = None, False, "", str(exc)
-    results.append(_check("spectral", "scan-uniqueness", ok, good, bad,
-                          "weight-module-kernels"))
+        scans = None
+        ds = unique = (False, "", str(exc))
+    for name, (ok, good, bad) in (("ds-kernels", ds),
+                                  ("scan-uniqueness", unique)):
+        results.append(_check("spectral", name, ok, good, bad,
+                              "weight-module-kernels"))
 
     # the table fails with the message of the blocks or scans it lacks
-    ok, detail = False, blocks_detail if scans is not None else bad
+    ok, detail = False, blocks_detail if scans is not None else unique[2]
     if blocks is not None and scans is not None:
         try:
             table = spectral.table_rows(blocks, scans)
@@ -443,6 +436,7 @@ def render_json(suite_results) -> str:
         "suites": [{"name": name, "checks": [c._asdict() for c in checks]}
                    for name, checks in suite_results],
     }
+    import json     # loaded only for the JSON format
     return json.dumps(doc, indent=2) + "\n"
 
 

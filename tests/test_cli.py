@@ -255,13 +255,9 @@ def test_each_scan_member_is_solved_once_per_command(command, monkeypatch,
     assert cli.main(command) == 0
     # the members where D^2 can vanish on the target line, built to two
     # levels past it: nu = -7 meets total -6 at level 0 (nu = 5 is not in
-    # its family), and mu = 5 meets total 4 at level 0 (mu = -3 is not)
-    scans = [("highest", -7, 3), ("lowest", 5, 3)]
-    # verify also solves the two ds-kernels members at the full truncation
-    ds = [("highest", -7, 121), ("lowest", 5, 121)] \
-        if command[0] == "verify" else []
-    assert len(solved) == len(set(solved))
-    assert solved == ds + scans
+    # its family), and mu = 5 meets total 4 at level 0 (mu = -3 is not);
+    # verify's ds-kernels check reads the same two solves
+    assert solved == [("highest", -7, 3), ("lowest", 5, 3)]
     # both share one fixed-side kernel between the matched blocks and the
     # finite-kernel check
     assert fixed == [11]
@@ -270,15 +266,14 @@ def test_each_scan_member_is_solved_once_per_command(command, monkeypatch,
 def test_scan_members_do_not_grow_with_the_truncation(monkeypatch, capsys):
     solved, _ = _count_kernel_solves(monkeypatch)
     built = {}
-    for truncation in (120, 2000):
+    for truncation in (2, 120, 2000):
         assert cli.main(["verify", "spectral", "--weight", "10",
                          "--truncation", str(truncation)]) == 0
-        for ds_member in (("highest", -7, truncation + 1),
-                          ("lowest", 5, truncation + 1)):
-            solved.remove(ds_member)
         built[truncation] = solved[:]
         solved.clear()
-    assert built[120] == built[2000]
+    assert built[2] == built[120] == built[2000]
+    # each member is built two levels past its line, at level 0 or 1
+    assert all(dim <= 4 for _, _, dim in built[2000])
 
 
 def test_matched_block_failure_fails_the_table_and_spares_the_scans(
@@ -295,7 +290,12 @@ def test_matched_block_failure_fails_the_table_and_spares_the_scans(
         assert status[name][0] == "pass"
 
 
-def test_a_failed_dirac_square_certificate_fails_the_scans(monkeypatch):
+# the message of the D^2 certificate when the symbol column C_e is doubled
+BROKEN_SQUARE = ("D^2 is not (c^2 - tau^2)/4 on the lowest family at "
+                 "parameter 1, level 0, spin line 'e'")
+
+
+def _double_the_e_symbol(monkeypatch):
     symbol = spectral.algebraic_dirac
 
     def scaled(pair, action_of, spin):
@@ -305,24 +305,34 @@ def test_a_failed_dirac_square_certificate_fails_the_scans(monkeypatch):
             (i, j): x for (i, j), x in out.items()
             if spin.dim <= j < 2 * spin.dim})
     monkeypatch.setattr(spectral, "algebraic_dirac", scaled)
+
+
+def test_a_failed_dirac_square_certificate_fails_the_scans(monkeypatch):
+    _double_the_e_symbol(monkeypatch)
     [(_, checks)] = report.run_suites(["spectral"], weight=4)
     status = {c.check: (c.status, c.details) for c in checks}
-    failure = ("fail", "D^2 is not (c^2 - tau^2)/4 on the lowest family at "
-                       "parameter 1, level 0, spin line 'e'")
-    for name in ("scan-uniqueness", "table-identification"):
-        assert status[name] == failure
+    for name in ("ds-kernels", "scan-uniqueness", "table-identification"):
+        assert status[name] == ("fail", BROKEN_SQUARE)
     assert status["matched-blocks"][0] == "pass"
 
 
+def test_a_failed_dirac_square_certificate_fails_table64(monkeypatch,
+                                                         capsys):
+    _double_the_e_symbol(monkeypatch)
+    assert cli.main(["table64", "--weight", "4"]) == 1
+    # one line on stderr, no rows and no traceback
+    assert capsys.readouterr() == ("", f"diracembed table64: {BROKEN_SQUARE}\n")
+
+
 def test_a_wide_scan_builds_only_the_candidate_members(monkeypatch, capsys):
-    # four members in all: the two ds-kernels members and one candidate of
-    # each family, where the window nu = -1 .. -102, mu = 0 .. 102 built 80
+    # one candidate of each family, which ds-kernels reads too, where the
+    # window nu = -1 .. -102, mu = 0 .. 102 built 80
     built, build = [], spectral.scan_module
     monkeypatch.setattr(spectral, "scan_module",
                         lambda *key: built.append(key) or build(*key))
     assert cli.main(["verify", "spectral", "--weight", "200",
                      "--truncation", "40"]) == 0
-    assert len(built) <= 4
+    assert len(built) == 2
 
 
 def _failing_details(suite, **kwargs):

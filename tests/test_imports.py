@@ -1,7 +1,8 @@
 """The package compiles only the modules a caller runs.
 
 Each probe runs in a fresh interpreter that writes no bytecode, as a cold
-command does, and lists the package modules it ended up importing.
+command does, and lists the modules of a package (this one by default) it
+ended up importing.
 """
 
 import importlib
@@ -17,17 +18,16 @@ import diracembed
 
 ROOT = Path(__file__).resolve().parents[1]
 
-LISTING = ("print(' '.join(sorted(m for m in sys.modules "
-           "if m.split('.')[0] == 'diracembed')))")
-
 TRIPLE_MODULES = {"diracembed", "diracembed.scalars", "diracembed.lie",
                   "diracembed.clifford", "diracembed.spin",
                   "diracembed.triple"}
 
 
-def loaded_after(code):
+def loaded_after(code, package="diracembed"):
+    listing = (f"print(' '.join(sorted(m for m in sys.modules "
+               f"if m.split('.')[0] == {package!r})))")
     done = subprocess.run(
-        [sys.executable, "-c", f"import sys\n{code}\n{LISTING}"],
+        [sys.executable, "-c", f"import sys\n{code}\n{listing}"],
         env={**os.environ, "PYTHONPATH": str(ROOT / "src"),
              "PYTHONDONTWRITEBYTECODE": "1"},
         capture_output=True, text=True, check=True, cwd=ROOT)
@@ -61,6 +61,15 @@ def test_commands_load_only_what_they_run(argv, also, tmp_path):
     # verify embedding never compiles spectral.py, table64 never report.py,
     # and none of them the triple's text format
     assert loaded == TRIPLE_MODULES | also
+
+
+def test_a_text_report_does_not_load_json(tmp_path):
+    # only table64 and --format json serialize
+    out = tmp_path / "out.txt"
+    argv = ["verify", "embedding", "--weight", "0", "--out", str(out)]
+    assert loaded_after(f"import diracembed.cli\n"
+                        f"diracembed.cli.main({argv!r})", "json") == set()
+    assert out.read_text(encoding="utf-8").startswith("theorem51/")
 
 
 def test_every_lazy_name_is_its_home_modules_object():
