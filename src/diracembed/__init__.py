@@ -41,10 +41,10 @@ _HOMES = {
              "invariance_defect verify_embedding algebraic_dirac",
     "spectral": "SpectralError CharacterLabel PeterWeylBlock make_block "
                 "block_eigenvalue compact_generator_scalar cubic_scalar "
-                "even_weight_cancellation grading_element hs_slot_names "
-                "ql_slot_names hs_dirac_operator finite_dirac_kernel "
-                "matched_kernel_blocks KernelLine single_side scan_module "
-                "truncated_dirac_kernel scan_lines kernel_table",
+                "even_weight_cancellation grading_element ql_slot_names "
+                "hs_dirac_operator finite_dirac_kernel matched_kernel_blocks "
+                "KernelLine single_side scan_module truncated_dirac_kernel "
+                "scan_lines kernel_table",
     "report": "CheckResult run_suites render_json render_text has_failure",
 }
 _HOME_OF = {name: home for home, names in _HOMES.items()

@@ -28,7 +28,7 @@ _TARGETS = {
 }
 
 MAX_TRUNCATION = 2000     # levels a scan searches; it builds to j + 2
-MAX_WEIGHT = 1000         # sl2_irrep(W) and its fixed-side operator grow
+MAX_WEIGHT = 1000         # sl2_irrep(W) and its operators grow
 
 
 def _build_parser() -> argparse.ArgumentParser:

@@ -103,10 +103,12 @@ def _twist_actions(triple, module):
         if len(row) != algebra.dim:
             raise ValueError(f"hmodule {idx} has {len(row)} entries, but "
                              f"the module's algebra has dimension {algebra.dim}")
-    phi = ExactMatrix.from_columns(rows, algebra.dim)
-    for i, y in enumerate(h):
-        ad_h = triple.h_coordinates([triple.algebra.bracket(y, z) for z in h])
-        defect = phi @ ad_h - algebra.adjoint(rows[i]) @ phi
+    phi, n = ExactMatrix.from_columns(rows, algebra.dim), len(h)
+    moved = phi @ triple.h_coordinates([triple.algebra.bracket(y, z)
+                                        for y in h for z in h])
+    for i, row in enumerate(rows):
+        defect = moved.select_columns(range(i * n, (i + 1) * n)) \
+            - algebra.adjoint(row) @ phi
         if not defect.is_zero():
             j = min(c for (_, c), _ in defect.items())
             raise ValueError(f"hmodule does not carry the bracket of "

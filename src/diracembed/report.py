@@ -332,21 +332,27 @@ def spectral_suite(triple, weight: int, truncation: int = 40):
         return results
 
     m = weight // 2
-    kernel = spectral.finite_dirac_kernel(triple, module)
     want_kernel = sorted([(weight, "e"), (-weight, "1")])
-    results.append(_check(
-        "spectral", "finite-kernel", kernel == want_kernel,
-        f"kernel lines {kernel} with dimension {len(kernel)}",
-        f"kernel {kernel} differs from {want_kernel}", "fixed-pair-kernel"))
-
     try:
-        blocks = spectral.matched_kernel_blocks(triple, module, kernel)
-        ok, blocks_detail = True, (
-            "matched blocks "
-            + str([(b.right.a, b.right.b, b.spin_ls) for b in blocks])
-            + " pass the cancellation, kernel and residual guards")
+        kernel = spectral.finite_dirac_kernel(triple, module)
+        ok, good, bad = (kernel == want_kernel,
+                         f"kernel lines {kernel} with dimension {len(kernel)}",
+                         f"kernel {kernel} differs from {want_kernel}")
     except spectral.SpectralError as exc:
-        blocks, ok, blocks_detail = None, False, str(exc)
+        kernel, ok, good, bad = None, False, "", str(exc)
+    results.append(_check("spectral", "finite-kernel", ok, good, bad,
+                          "fixed-pair-kernel"))
+
+    blocks, ok, blocks_detail = None, False, bad  # a failed kernel's message
+    if kernel is not None:
+        try:
+            blocks = spectral.matched_kernel_blocks(triple, module, kernel)
+            ok, blocks_detail = True, (
+                "matched blocks "
+                + str([(b.right.a, b.right.b, b.spin_ls) for b in blocks])
+                + " pass the cancellation, kernel and residual guards")
+        except spectral.SpectralError as exc:
+            blocks_detail = str(exc)
     results.append(_check(
         "spectral", "matched-blocks", ok, blocks_detail, blocks_detail,
         "matched-block-reduction"))

@@ -181,12 +181,6 @@ def _slot_names(spin: SpinModule, alpha_elt: CliffordElement,
     return names
 
 
-def hs_slot_names(triple) -> dict:
-    """Names ("e"/"1") of the fixed-side spin lines, by computed weight."""
-    x = grading_element(triple)
-    return _slot_names(triple.spin_hs, triple.pair_h_hk.alpha(x), "e")
-
-
 def ql_slot_names(triple) -> dict:
     """Names ("u"/"1") of the slice spin lines, by computed weight."""
     x = grading_element(triple)
@@ -209,34 +203,6 @@ def _line_weight(name: str) -> int:
     return -1 if name == "1" else 1
 
 
-def _kernel_lines(op: ExactMatrix, module: WeightModule, names: dict) -> list:
-    """Kernel lines of an operator from the first levels of M (x) S (spin
-    index fastest) to all of it.  It must keep the torus weight, module
-    weight plus line weight, so each weight's columns form a block solved
-    on its own, and every kernel vector must sit on one (level, line)."""
-    spin_dim = len(names)
-    weight = [w + _line_weight(names[s])
-              for w in module.weights for s in range(spin_dim)]
-    for (i, j), _ in op.items():
-        if weight[i] != weight[j]:
-            raise SpectralError(f"the operator carries torus weight "
-                                f"{weight[j]} to {weight[i]}")
-    by_total = defaultdict(list)
-    for k in range(op.ncols):
-        by_total[weight[k]].append(k)
-    totals = sorted(by_total)
-    blocks = op.column_blocks(by_total[t] for t in totals)
-    lines = []
-    for total, block in zip(totals, blocks):
-        for nv in block.nullspace():
-            support = [k for k in range(nv.nrows) if not nv[k, 0].is_zero()]
-            if len(support) != 1:
-                raise SpectralError("kernel line mixes module levels")
-            level, s = divmod(by_total[total][support[0]], spin_dim)
-            lines.append(KernelLine(total, names[s], level))
-    return sorted(lines)
-
-
 # -- the fixed-side Dirac operator and its kernel -----------------------------
 
 
@@ -244,25 +210,25 @@ def hs_dirac_operator(triple, module: WeightModule,
                       vectors=None, duals=None) -> ExactMatrix:
     """The residual Dirac operator on E (x) S for the pair (h, h cap k).
 
-    By default the triple's orthonormal complement basis is used.  Any
-    other presentation may be given as a basis of ambient vectors with a
-    biorthogonal list of duals (omitted for an orthonormal basis); the
-    resulting matrix is presentation independent.
+    By default the triple's orthonormal complement basis is used, whose
+    Gram matrix its pair certified when built.  Any other presentation may
+    be given as a basis of ambient vectors with a biorthogonal list of duals
+    (omitted for an orthonormal basis), and is checked; the resulting
+    matrix is presentation independent.
     """
-    pair = triple.pair_h_hk
-    spin = triple.spin_hs
+    pair, spin, g = triple.pair_h_hk, triple.spin_hs, triple.algebra
     if vectors is None:     # the duals of b_j with norm eps_j are eps_j b_j
         vectors = pair.complement_basis
         duals = [vec_scale(s, b) for s, b in zip(pair.space.signs, vectors)]
-    vectors = [vec(v) for v in vectors]
-    duals = vectors if duals is None else [vec(d) for d in duals]
-    if len(vectors) != len(pair.complement_basis) or len(duals) != len(vectors):
-        raise SpectralError("presentation does not have full size")
-    g = triple.algebra
-    g.check_lengths(*vectors, *duals)
-    left, right = (ExactMatrix.from_columns(c, g.dim) for c in (vectors, duals))
-    if left.transpose() @ g.form @ right != ExactMatrix.identity(len(vectors)):
-        raise SpectralError("presentation is not biorthonormal")
+    else:
+        vectors = [vec(v) for v in vectors]
+        duals = vectors if duals is None else [vec(d) for d in duals]
+        if len(vectors) != len(pair.complement_basis) or len(duals) != len(vectors):
+            raise SpectralError("presentation does not have full size")
+        g.check_lengths(*vectors, *duals)
+        left, right = (ExactMatrix.from_columns(c, g.dim) for c in (vectors, duals))
+        if left.transpose() @ g.form @ right != ExactMatrix.identity(len(vectors)):
+            raise SpectralError("presentation is not biorthonormal")
     size = module.dim * spin.dim
     out = ExactMatrix.zeros(size, size)
     for beta, d in zip(beta_action(triple, module, vectors), duals):
@@ -271,11 +237,24 @@ def hs_dirac_operator(triple, module: WeightModule,
 
 
 def finite_dirac_kernel(triple, module: WeightModule) -> list:
-    """Weight/line classification of the exact kernel on E (x) S: sorted
-    pairs (twist weight, spin line name)."""
-    lines = _kernel_lines(hs_dirac_operator(triple, module), module,
-                          hs_slot_names(triple))
-    return sorted((module.weights[l.level], l.slot) for l in lines)
+    """Sorted pairs (twist weight, spin line name) of the exact kernel on
+    E (x) S, from truncated_dirac_kernel: the fixed pair's operator is the
+    rank-one one over sqrt2 and its grading names the lines alike, as both
+    operators are sum_k pi(x_k) (x) C_k and h, e, f act on the probe
+    sl2_irrep(1) by independent matrices, which fixes the C_k."""
+    if module.kind != "finite":
+        raise SpectralError(f"the fixed-side kernel needs sl2_irrep(n), not "
+                            f"a {module.kind} module")
+    probe = sl2_irrep(1)
+    if hs_dirac_operator(triple, probe) != \
+            _rank_one_operator(probe, probe.dim) * INV_SQRT2:
+        raise SpectralError("the fixed pair's Dirac operator is not the "
+                            "rank-one operator over sqrt2")
+    if _slot_names(triple.spin_hs, triple.pair_h_hk.alpha(
+            grading_element(triple)), "e") != single_side()[3]:
+        raise SpectralError("the fixed pair's grading is not the rank-one grading")
+    return sorted((module.weights[l.level], l.slot)
+                  for l in truncated_dirac_kernel(module))
 
 
 # -- matched blocks -----------------------------------------------------------
@@ -368,11 +347,33 @@ def _rank_one_operator(module: WeightModule, levels: int) -> ExactMatrix:
 
 
 def truncated_dirac_kernel(module: WeightModule) -> list:
-    """Exact kernel lines of the rank-one Dirac operator on M (x) S, on the
-    module's certified levels and all image rows: for the truncated kinds
-    every reported line is a genuine kernel line of the untruncated one."""
-    return _kernel_lines(_rank_one_operator(module, module.certified),
-                         module, single_side()[3])
+    """Exact kernel lines of the rank-one Dirac operator on M (x) S (spin
+    index fastest), on the module's certified levels and all image rows, so
+    for the truncated kinds each is a kernel line of the untruncated one.
+    The operator must keep the torus weight (module weight plus line
+    weight), so each weight's columns form a block solved on its own, and
+    every kernel vector must sit on one (level, line)."""
+    _, _, spin, names, _ = single_side()
+    op = _rank_one_operator(module, module.certified)
+    weight = [w + _line_weight(names[s]) for w in module.weights for s in names]
+    for (i, j), _ in op.items():
+        if weight[i] != weight[j]:
+            raise SpectralError(f"the operator carries torus weight "
+                                f"{weight[j]} to {weight[i]}")
+    by_total = defaultdict(list)
+    for k in range(op.ncols):
+        by_total[weight[k]].append(k)
+    totals = sorted(by_total)
+    blocks = op.column_blocks(by_total[t] for t in totals)
+    lines = []
+    for total, block in zip(totals, blocks):
+        for nv in block.nullspace():
+            support = [k for k in range(nv.nrows) if not nv[k, 0].is_zero()]
+            if len(support) != 1:
+                raise SpectralError("kernel line mixes module levels")
+            level, s = divmod(by_total[total][support[0]], spin.dim)
+            lines.append(KernelLine(total, names[s], level))
+    return sorted(lines)
 
 
 # -- parameter scans and the kernel table -------------------------------------

@@ -9,8 +9,8 @@ from pathlib import Path
 
 import pytest
 
-from diracembed import (CheckResult, CliffordElement, ExactMatrix, SpinModule,
-                        coerce)
+from diracembed import (CheckResult, CliffordElement, ExactMatrix, INV_SQRT2,
+                        SpinModule, coerce)
 from diracembed import cli
 from diracembed import report
 from diracembed import spectral
@@ -253,14 +253,25 @@ def test_each_scan_member_is_solved_once_per_command(command, monkeypatch,
                                                      capsys):
     solved, fixed = _count_kernel_solves(monkeypatch)
     assert cli.main(command) == 0
-    # the members where D^2 can vanish on the target line, built to two
-    # levels past it: nu = -7 meets total -6 at level 0 (nu = 5 is not in
-    # its family), and mu = 5 meets total 4 at level 0 (mu = -3 is not);
-    # verify's ds-kernels check reads the same two solves
-    assert solved == [("highest", -7, 3), ("lowest", 5, 3)]
+    # the twist module sl2_irrep(10), whose fixed-side kernel is the
+    # rank-one kernel; then the members where D^2 can vanish on the target
+    # line, built to two levels past it: nu = -7 meets total -6 at level 0
+    # (nu = 5 is not in its family), and mu = 5 meets total 4 at level 0
+    # (mu = -3 is not); verify's ds-kernels check reads the same two solves
+    assert solved == [("finite", 10, 11), ("highest", -7, 3), ("lowest", 5, 3)]
     # both share one fixed-side kernel between the matched blocks and the
     # finite-kernel check
     assert fixed == [11]
+
+
+def test_the_fixed_operator_is_built_once_on_the_probe(monkeypatch, capsys):
+    # the fixed-side kernel is read from the rank-one operator, once the
+    # fixed pair's operator is identified with it on sl2_irrep(1)
+    built, operator = [], spectral.hs_dirac_operator
+    monkeypatch.setattr(spectral, "hs_dirac_operator",
+                        lambda t, m: built.append(m.dim) or operator(t, m))
+    assert cli.main(["verify", "spectral", "--weight", "10"]) == 0
+    assert built == [2]
 
 
 def test_scan_members_do_not_grow_with_the_truncation(monkeypatch, capsys):
@@ -272,8 +283,10 @@ def test_scan_members_do_not_grow_with_the_truncation(monkeypatch, capsys):
         built[truncation] = solved[:]
         solved.clear()
     assert built[2] == built[120] == built[2000]
-    # each member is built two levels past its line, at level 0 or 1
-    assert all(dim <= 4 for _, _, dim in built[2000])
+    # after the twist module, each scan member is built two levels past its
+    # line, at level 0 or 1
+    assert built[2000][0] == ("finite", 10, 11)
+    assert all(dim <= 4 for _, _, dim in built[2000][1:])
 
 
 def test_matched_block_failure_fails_the_table_and_spares_the_scans(
@@ -293,35 +306,90 @@ def test_matched_block_failure_fails_the_table_and_spares_the_scans(
 # the message of the D^2 certificate when the symbol column C_e is doubled
 BROKEN_SQUARE = ("D^2 is not (c^2 - tau^2)/4 on the lowest family at "
                  "parameter 1, level 0, spin line 'e'")
+# the message of the fixed-side kernel when its operator is not the
+# rank-one one over sqrt2
+NOT_RANK_ONE = ("the fixed pair's Dirac operator is not the rank-one "
+                "operator over sqrt2")
 
 
-def _double_the_e_symbol(monkeypatch):
+def _double_the_e_symbol(monkeypatch, fixed_side_follows):
+    """Double the symbol column C_e of the rank-one operator; the fixed
+    pair's operator either follows it, so that only the D^2 certificate
+    can see the fault, or keeps its own construction."""
     symbol = spectral.algebraic_dirac
 
     def scaled(pair, action_of, spin):
-        # the symbol column C_e of the rank-one operator, doubled
         out = symbol(pair, action_of, spin)
         return out + ExactMatrix.from_entries(*out.shape, {
             (i, j): x for (i, j), x in out.items()
             if spin.dim <= j < 2 * spin.dim})
     monkeypatch.setattr(spectral, "algebraic_dirac", scaled)
+    if fixed_side_follows:
+        monkeypatch.setattr(spectral, "hs_dirac_operator", lambda t, m:
+                            spectral._rank_one_operator(m, m.dim) * INV_SQRT2)
 
 
 def test_a_failed_dirac_square_certificate_fails_the_scans(monkeypatch):
-    _double_the_e_symbol(monkeypatch)
+    _double_the_e_symbol(monkeypatch, fixed_side_follows=True)
     [(_, checks)] = report.run_suites(["spectral"], weight=4)
     status = {c.check: (c.status, c.details) for c in checks}
     for name in ("ds-kernels", "scan-uniqueness", "table-identification"):
         assert status[name] == ("fail", BROKEN_SQUARE)
     assert status["matched-blocks"][0] == "pass"
+    # with the fixed side on its own construction the identification of the
+    # two operators fails too, and takes the matched blocks with it
+    monkeypatch.undo()
+    _double_the_e_symbol(monkeypatch, fixed_side_follows=False)
+    [(_, checks)] = report.run_suites(["spectral"], weight=4)
+    status = {c.check: (c.status, c.details) for c in checks}
+    for name in ("ds-kernels", "scan-uniqueness", "table-identification"):
+        assert status[name] == ("fail", BROKEN_SQUARE)
+    for name in ("finite-kernel", "matched-blocks"):
+        assert status[name] == ("fail", NOT_RANK_ONE)
 
 
 def test_a_failed_dirac_square_certificate_fails_table64(monkeypatch,
                                                          capsys):
-    _double_the_e_symbol(monkeypatch)
+    _double_the_e_symbol(monkeypatch, fixed_side_follows=True)
     assert cli.main(["table64", "--weight", "4"]) == 1
     # one line on stderr, no rows and no traceback
     assert capsys.readouterr() == ("", f"diracembed table64: {BROKEN_SQUARE}\n")
+    # table64 solves the fixed-side kernel, and so meets the identification,
+    # before the scans and their certificate
+    monkeypatch.undo()
+    _double_the_e_symbol(monkeypatch, fixed_side_follows=False)
+    assert cli.main(["table64", "--weight", "4"]) == 1
+    assert capsys.readouterr() == ("", f"diracembed table64: {NOT_RANK_ONE}\n")
+
+
+@pytest.mark.parametrize("mutation", ["operator", "grading"])
+def test_a_failed_identification_fails_the_kernel_checks_without_a_traceback(
+        mutation, monkeypatch, capsys):
+    if mutation == "operator":
+        # the fixed pair's operator with the image of its first complement
+        # vector doubled
+        beta = spectral.beta_action
+
+        def doubled(triple, module, vectors):
+            first, *rest = beta(triple, module, vectors)
+            return [first * coerce(2), *rest]
+        monkeypatch.setattr(spectral, "beta_action", doubled)
+        message = NOT_RANK_ONE
+    else:
+        grading = spectral.grading_element
+        monkeypatch.setattr(spectral, "grading_element",
+                            lambda t: [-x for x in grading(t)])
+        message = "the fixed pair's grading is not the rank-one grading"
+    assert cli.main(["verify", "spectral", "--weight", "4"]) == 1
+    out = capsys.readouterr().out
+    status = dict(line.split(": ", 1) for line in out.splitlines())
+    for name in ("finite-kernel", "matched-blocks", "table-identification"):
+        assert status[f"spectral/{name}"] == f"fail — {message}"
+    assert sorted(k for k, v in status.items() if v.startswith("fail")) == [
+        "spectral/finite-kernel", "spectral/matched-blocks",
+        "spectral/table-identification"]
+    assert cli.main(["table64", "--weight", "4"]) == 1
+    assert capsys.readouterr() == ("", f"diracembed table64: {message}\n")
 
 
 def test_a_wide_scan_builds_only_the_candidate_members(monkeypatch, capsys):

@@ -12,14 +12,16 @@ from hypothesis import strategies as st
 from diracembed import cli, dirac, spectral
 from diracembed import (CharacterLabel, ExactMatrix, ExactScalar,
                         FormalDiracElement, I,
-                        INV_SQRT2, KernelLine, LieAlgebra, ONE, SpectralError,
+                        INV_SQRT2, KernelLine, LieAlgebra, ONE, SQRT2,
+                        SpectralError,
                         SpinModule, TransitiveTriple, ZERO, algebraic_dirac, beta_action, block_eigenvalue, build_sl2_triple, coerce,
                         compact_generator_scalar, cubic_scalar,
                         even_weight_cancellation, finite_dirac_kernel,
                         grading_element, highest_weight_module,
-                        hs_dirac_operator, hs_slot_names, kernel_table,
+                        hs_dirac_operator, kernel_table,
                         lowest_weight_module, make_block,
-                        matched_kernel_blocks, ql_slot_names, scan_lines,
+                        matched_kernel_blocks, ql_slot_names,
+                        residual_term, scan_lines,
                         scan_module, single_side,
                         sl2_irrep, truncated_dirac_kernel, unit_vector,
                         vec_add, vec_is_zero, vec_scale, vec_sub)
@@ -111,10 +113,10 @@ def unmapped(triple):
                             zq_basis=triple.zq_basis, t_basis=triple.t_basis)
 
 
-def test_hs_slot_names_need_an_h_module_map(unmapped):
+def test_finite_kernel_needs_an_h_module_map(unmapped):
     with pytest.raises(ValueError,
                        match="^the triple carries no h-module map$"):
-        hs_slot_names(unmapped)
+        finite_dirac_kernel(unmapped, sl2_irrep(2))
 
 
 def test_ql_slot_names_need_an_h_module_map(unmapped):
@@ -124,7 +126,7 @@ def test_ql_slot_names_need_an_h_module_map(unmapped):
 
 
 def test_slot_names_follow_computed_weights(triple):
-    assert hs_slot_names(triple) == {0: "e", 1: "1"}
+    assert single_side()[3] == {0: "e", 1: "1"}
     assert ql_slot_names(triple) == {0: "u", 1: "1"}
 
 
@@ -186,7 +188,7 @@ def test_finite_kernel_pairs_extreme_weights_with_spin_lines(triple, m):
 def _whole_operator_lines(triple, module, op):
     """Reference fixed-side classification: the nullspace of the whole
     operator on E (x) S, each kernel vector pure in weight and spin line."""
-    names = hs_slot_names(triple)
+    names = single_side()[3]
     lines = []
     for nv in op.nullspace():
         support = [k for k in range(nv.nrows) if not nv[k, 0].is_zero()]
@@ -223,6 +225,67 @@ def test_swapped_duals_produce_a_different_kernel(triple):
     lines = _whole_operator_lines(triple, module, op)
     assert lines == [(-2, "e"), (2, "1")]
     assert lines != finite_dirac_kernel(triple, module)
+
+
+@pytest.mark.parametrize("n", range(11))
+def test_fixed_operator_is_the_rank_one_operator_over_sqrt2(triple, n):
+    module = sl2_irrep(n)
+    assert hs_dirac_operator(triple, module) * SQRT2 == \
+        spectral._rank_one_operator(module, module.dim)
+
+
+def test_fixed_and_rank_one_gradings_are_diag_one_minus_one(triple):
+    _, pair, spin, _, _ = single_side()
+    x = grading_element(triple)
+    want = ExactMatrix.from_entries(2, 2, {(0, 0): ONE, (1, 1): -ONE})
+    assert triple.spin_hs.gamma(triple.pair_h_hk.alpha(x)) == want
+    assert spin.gamma(pair.alpha(pair.acting_basis[0])) == want
+
+
+@pytest.mark.parametrize("n", range(9))
+def test_residual_term_is_the_fixed_operator_on_swapped_factors(triple, n):
+    # the residual term acts on S (x) E, the fixed-side operator on E (x) S
+    module = sl2_irrep(n)
+    spin_dim = triple.spin_hs.dim
+
+    def swap(k):
+        level, s = divmod(k, spin_dim)
+        return s * module.dim + level
+    fixed = hs_dirac_operator(triple, module)
+    swapped = ExactMatrix.from_entries(*fixed.shape, {
+        (swap(i), swap(j)): x for (i, j), x in fixed.items()})
+    assert residual_term(triple, module).block(None) == swapped
+
+
+def test_finite_kernel_rejects_a_doubled_fixed_operator(triple, monkeypatch):
+    operator = spectral.hs_dirac_operator
+    monkeypatch.setattr(spectral, "hs_dirac_operator",
+                        lambda t, m: operator(t, m) * coerce(2))
+    with pytest.raises(SpectralError,
+                       match="^the fixed pair's Dirac operator is not the "
+                             "rank-one operator over sqrt2$"):
+        finite_dirac_kernel(triple, sl2_irrep(2))
+
+
+def test_finite_kernel_rejects_a_negated_fixed_grading(triple, monkeypatch):
+    grading = spectral.grading_element
+    monkeypatch.setattr(spectral, "grading_element",
+                        lambda t: vec_scale(-ONE, grading(t)))
+    with pytest.raises(SpectralError,
+                       match="^the fixed pair's grading is not the rank-one "
+                             "grading$"):
+        finite_dirac_kernel(triple, sl2_irrep(2))
+
+
+@pytest.mark.parametrize("module, kind", [
+    (lowest_weight_module(3, 5), "lowest"),
+    (highest_weight_module(-3, 5), "highest")])
+def test_finite_kernel_rejects_a_truncated_module(triple, module, kind):
+    # the top level of a truncated module breaks the bracket relations
+    with pytest.raises(SpectralError,
+                       match=f"^the fixed-side kernel needs sl2_irrep\\(n\\), "
+                             f"not a {kind} module$"):
+        finite_dirac_kernel(triple, module)
 
 
 # -- matched blocks -----------------------------------------------------------------
@@ -278,19 +341,18 @@ def test_matched_blocks_reject_a_residual_that_moves_a_matched_line(
         matched_kernel_blocks(triple, module, kernel)
 
 
-def test_kernel_lines_reject_a_line_across_module_levels(triple,
-                                                         monkeypatch):
+def test_kernel_lines_reject_a_line_across_module_levels(monkeypatch):
     # on sl2_irrep(2), level 0 on the -1 line and level 1 on the +1 line
     # share torus weight 1; this weight-keeping operator has their sum as
     # its only kernel vector there
-    names = hs_slot_names(triple)
+    names = single_side()[3]
     low = next(s for s, n in names.items() if n == "1")
     high = 2 + next(s for s, n in names.items() if n == "e")
     op = ExactMatrix.from_entries(6, 6, {(low, low): ONE, (low, high): -ONE})
-    monkeypatch.setattr(spectral, "hs_dirac_operator", lambda t, m: op)
+    monkeypatch.setattr(spectral, "_rank_one_operator", lambda m, levels: op)
     with pytest.raises(SpectralError,
                        match="^kernel line mixes module levels$"):
-        finite_dirac_kernel(triple, sl2_irrep(2))
+        truncated_dirac_kernel(sl2_irrep(2))
 
 
 @pytest.mark.parametrize("argv", [
@@ -381,10 +443,10 @@ def test_a_misgraded_operator_raises(triple, monkeypatch):
     with pytest.raises(SpectralError,
                        match="^the operator carries torus weight -6 to -2$"):
         truncated_dirac_kernel(highest_weight_module(-3, 10))
-    names = hs_slot_names(triple)
-    monkeypatch.setattr(spectral, "hs_slot_names", lambda t: _swapped(names))
-    with pytest.raises(SpectralError,
-                       match="^the operator carries torus weight -1 to 3$"):
+    # the fixed side reads its kernel under the rank-one names, once its own
+    # grading names the lines alike, which the exchanged names break
+    with pytest.raises(SpectralError, match="^the fixed pair's grading is "
+                                            "not the rank-one grading$"):
         finite_dirac_kernel(triple, sl2_irrep(2))
 
 
