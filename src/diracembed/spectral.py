@@ -267,10 +267,12 @@ def matched_kernel_blocks(triple, module: WeightModule, kernel: list):
     the slice "u" line) and -2m (on "1").
 
     Checks, exactly: both blocks sit on the cancelled a-b = -2 line; the
-    fixed-side kernel pairs twist weight 2m with the +1 spin line and
-    -2m with the -1 line (the "e" of the fixed side renames to the "u"
-    of the slice side, both being the +1 line); and the residual term
-    annihilates the corresponding lines of the slice fiber.
+    fixed-side kernel pairs 2m with the +1 line ("u" here, "e" there) and
+    -2m with "1"; and, on the probe sl2_irrep(1), the residual term is the
+    rank-one operator over sqrt2 on S (x) E for E (x) S, under the same
+    grading.  Both are sum_k pi(x_k) (x) C_k, and h, e, f act on the probe
+    by independent matrices, so on every module the residual kills a
+    matched line as the rank-one operator kills its fixed-side kernel line.
     """
     if module.kind != "finite" or module.weights[0] % 2:
         raise SpectralError(f"matched blocks need sl2_irrep(2m), not a "
@@ -279,24 +281,22 @@ def matched_kernel_blocks(triple, module: WeightModule, kernel: list):
     blocks = (make_block(-m - 1, -m + 1, spin_ls="u"),
               make_block(m - 1, m + 1, spin_ls="1"))
     cub = cubic_scalar(triple)
-    ql_names = ql_slot_names(triple)
-    res = residual_term(triple, module).block(None)
+    probe, to_hs = sl2_irrep(1), {"u": "e", "1": "1"}
+    swap = ExactMatrix.identity(4).select_columns([0, 2, 1, 3])  # on C2 (x) C2
+    if residual_term(triple, probe).block(None) != \
+            swap @ _rank_one_operator(probe, 2) * INV_SQRT2 @ swap:
+        raise SpectralError("the residual term is not the rank-one operator "
+                            "over sqrt2 on swapped factors")
+    if {s: to_hs[n] for s, n in ql_slot_names(triple).items()} != single_side()[3]:
+        raise SpectralError("the slice grading is not the rank-one grading")
     for blk in blocks:
         if blk.right.a - blk.right.b != -2:
             raise SpectralError("matched block is off the cancelled line")
         if not (block_eigenvalue(triple, blk) + cub).is_zero():
             raise SpectralError("compact part does not cancel on a block")
-        slot_hs = "e" if blk.spin_ls == "u" else "1"
-        if (blk.e_weight, slot_hs) not in kernel:
-            raise SpectralError(
-                f"fixed-side kernel misses ({blk.e_weight}, {slot_hs})")
-        # the residual matrix must be zero on the block's spin (x) weight lines
-        columns = [s * module.dim + i for s, n in ql_names.items()
-                   if n == blk.spin_ls
-                   for i, w in enumerate(module.weights) if w == blk.e_weight]
-        if not res.select_columns(columns).is_zero():
-            raise SpectralError(
-                "residual term does not annihilate a matched line")
+        if (blk.e_weight, to_hs[blk.spin_ls]) not in kernel:
+            raise SpectralError(f"fixed-side kernel misses "
+                                f"({blk.e_weight}, {to_hs[blk.spin_ls]})")
     return blocks
 
 

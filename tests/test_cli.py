@@ -9,8 +9,8 @@ from pathlib import Path
 
 import pytest
 
-from diracembed import (CheckResult, CliffordElement, ExactMatrix, INV_SQRT2,
-                        SpinModule, coerce)
+from diracembed import (CheckResult, CliffordElement, ExactMatrix,
+                        FormalDiracElement, INV_SQRT2, SpinModule, coerce)
 from diracembed import cli
 from diracembed import report
 from diracembed import spectral
@@ -42,6 +42,9 @@ PINNED_SPECTRAL = {
     # the fixed-side kernel on a 201-dimensional module
     "verify_spectral_w200.json": ["verify", "spectral", "--weight", "200",
                                   "--format", "json"],
+    # the largest weight, where the twist module has 1001 dimensions
+    "verify_spectral_w1000.json": ["verify", "spectral", "--weight", "1000",
+                                   "--format", "json"],
     **{f"table64_w{w}.json": ["table64", "--weight", str(w)]
        for w in (0, 2, 10, 22, 40, 1000)},
 }
@@ -312,10 +315,19 @@ NOT_RANK_ONE = ("the fixed pair's Dirac operator is not the rank-one "
                 "operator over sqrt2")
 
 
+def _on_swapped_factors(op, dim):
+    """op on E (x) S, spin index fastest, as the operator on S (x) E."""
+    def swap(k):
+        level, s = divmod(k, 2)
+        return s * dim + level
+    return ExactMatrix.from_entries(*op.shape, {
+        (swap(i), swap(j)): x for (i, j), x in op.items()})
+
+
 def _double_the_e_symbol(monkeypatch, fixed_side_follows):
     """Double the symbol column C_e of the rank-one operator; the fixed
-    pair's operator either follows it, so that only the D^2 certificate
-    can see the fault, or keeps its own construction."""
+    pair's operator and the residual term either follow it, so that only
+    the D^2 certificate can see the fault, or keep their own construction."""
     symbol = spectral.algebraic_dirac
 
     def scaled(pair, action_of, spin):
@@ -325,8 +337,13 @@ def _double_the_e_symbol(monkeypatch, fixed_side_follows):
             if spin.dim <= j < 2 * spin.dim})
     monkeypatch.setattr(spectral, "algebraic_dirac", scaled)
     if fixed_side_follows:
-        monkeypatch.setattr(spectral, "hs_dirac_operator", lambda t, m:
-                            spectral._rank_one_operator(m, m.dim) * INV_SQRT2)
+        def fixed(t, m):
+            return spectral._rank_one_operator(m, m.dim) * INV_SQRT2
+        monkeypatch.setattr(spectral, "hs_dirac_operator", fixed)
+        monkeypatch.setattr(spectral, "residual_term", lambda t, m:
+                            FormalDiracElement.symbol(t.algebra, None,
+                                                      _on_swapped_factors(
+                                                          fixed(t, m), m.dim)))
 
 
 def test_a_failed_dirac_square_certificate_fails_the_scans(monkeypatch):
@@ -360,6 +377,24 @@ def test_a_failed_dirac_square_certificate_fails_table64(monkeypatch,
     _double_the_e_symbol(monkeypatch, fixed_side_follows=False)
     assert cli.main(["table64", "--weight", "4"]) == 1
     assert capsys.readouterr() == ("", f"diracembed table64: {NOT_RANK_ONE}\n")
+
+
+def test_a_doubled_residual_fails_the_matched_blocks_and_spares_the_scans(
+        monkeypatch, capsys):
+    residual = spectral.residual_term
+    monkeypatch.setattr(spectral, "residual_term",
+                        lambda t, m: residual(t, m).scaled(coerce(2)))
+    message = ("the residual term is not the rank-one operator over sqrt2 "
+               "on swapped factors")
+    assert cli.main(["verify", "spectral", "--weight", "4"]) == 1
+    out = capsys.readouterr().out
+    status = dict(line.split(": ", 1) for line in out.splitlines())
+    for name in ("matched-blocks", "table-identification"):
+        assert status[f"spectral/{name}"] == f"fail — {message}"
+    for name in ("finite-kernel", "ds-kernels", "scan-uniqueness"):
+        assert status[f"spectral/{name}"].startswith("pass")
+    assert cli.main(["table64", "--weight", "4"]) == 1
+    assert capsys.readouterr() == ("", f"diracembed table64: {message}\n")
 
 
 @pytest.mark.parametrize("mutation", ["operator", "grading"])

@@ -328,17 +328,56 @@ def test_matched_blocks_reject_a_compact_part_that_does_not_cancel(
         matched_kernel_blocks(triple, module, kernel)
 
 
+# the message of the matched blocks when the residual term is not the
+# rank-one operator on the probe
+NOT_SWAPPED_RANK_ONE = ("^the residual term is not the rank-one operator "
+                        "over sqrt2 on swapped factors$")
+
+
 def test_matched_blocks_reject_a_residual_that_moves_a_matched_line(
         triple, monkeypatch):
     module = sl2_irrep(2)
     kernel = finite_dirac_kernel(triple, module)
-    size = triple.spin_ql.dim * module.dim
     monkeypatch.setattr(spectral, "residual_term", lambda t, m:
                         FormalDiracElement.symbol(t.algebra, None,
-                                                  ExactMatrix.identity(size)))
-    with pytest.raises(SpectralError, match="^residual term does not "
-                                            "annihilate a matched line$"):
+                                                  ExactMatrix.identity(
+                                                      t.spin_ql.dim * m.dim)))
+    with pytest.raises(SpectralError, match=NOT_SWAPPED_RANK_ONE):
         matched_kernel_blocks(triple, module, kernel)
+
+
+def test_matched_blocks_reject_a_doubled_residual(triple, monkeypatch):
+    module = sl2_irrep(2)
+    kernel = finite_dirac_kernel(triple, module)
+    residual = spectral.residual_term
+    monkeypatch.setattr(spectral, "residual_term",
+                        lambda t, m: residual(t, m).scaled(coerce(2)))
+    with pytest.raises(SpectralError, match=NOT_SWAPPED_RANK_ONE):
+        matched_kernel_blocks(triple, module, kernel)
+
+
+def test_matched_blocks_reject_swapped_slice_line_names(triple, monkeypatch):
+    module = sl2_irrep(2)
+    kernel = finite_dirac_kernel(triple, module)
+    names, other = spectral.ql_slot_names, {"u": "1", "1": "u"}
+    monkeypatch.setattr(spectral, "ql_slot_names", lambda t: {
+        s: other[n] for s, n in names(t).items()})
+    with pytest.raises(SpectralError, match="^the slice grading is not the "
+                                            "rank-one grading$"):
+        matched_kernel_blocks(triple, module, kernel)
+
+
+@pytest.mark.parametrize("m", range(9))
+def test_residual_term_annihilates_the_matched_lines(triple, m):
+    # the whole-module residual, which the probe identity stands for
+    module = sl2_irrep(2 * m)
+    res = residual_term(triple, module).block(None)
+    names = ql_slot_names(triple)
+    for line, weight in (("u", 2 * m), ("1", -2 * m)):
+        columns = [s * module.dim + i for s, n in names.items() if n == line
+                   for i, w in enumerate(module.weights) if w == weight]
+        assert len(columns) == 1
+        assert res.select_columns(columns).is_zero()
 
 
 def test_kernel_lines_reject_a_line_across_module_levels(monkeypatch):
@@ -358,16 +397,17 @@ def test_kernel_lines_reject_a_line_across_module_levels(monkeypatch):
 @pytest.mark.parametrize("argv", [
     ["verify", "spectral", "--weight", "10", "--truncation", "120"],
     ["table64", "--weight", "10"]])
-def test_a_spectral_command_checks_the_h_module_map_at_most_twice(
+def test_a_spectral_command_checks_the_h_module_map_twice_on_the_probe(
         argv, monkeypatch, capsys):
-    # once for the fixed-side operator, once for the residual term
-    checks = []
+    # once for the fixed-side operator and once for the residual term, both
+    # on sl2_irrep(1), never on the twist module
+    dims = []
     twist_actions = dirac._twist_actions
     monkeypatch.setattr(dirac, "_twist_actions",
-                        lambda *args: checks.append(args)
-                        or twist_actions(*args))
+                        lambda triple, module: dims.append(module.dim)
+                        or twist_actions(triple, module))
     assert cli.main(argv) == 0
-    assert 1 <= len(checks) <= 2
+    assert dims == [2, 2]
 
 
 # -- truncated kernels ----------------------------------------------------------------
